@@ -76,7 +76,8 @@ pub struct InferenceOptions {
     /// step; others ignore the field.
     pub golden: Option<Vec<Option<Answer>>>,
     /// Cap for a method's *internal* parallel fan-out (the size-gated
-    /// E/M-step fan-out of the D&S family). `None` = use the machine's
+    /// E/M-step fan-out of the D&S family and Minimax's dual ascent and
+    /// truth update). `None` = use the machine's
     /// available parallelism. Callers that already fan out at a higher
     /// level (e.g. the experiment harness running repeats in parallel)
     /// should set `Some(1)` to avoid oversubscribing the machine. Thread

@@ -27,11 +27,16 @@ use crowd_stats::{ConvergenceTracker, DMat};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use std::sync::Mutex;
+
+use crate::exec;
 use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
 use crate::views::Cat;
+
+use super::ds::PARALLEL_ESTEP_MIN_WORK;
 
 /// Minimax entropy truth inference.
 #[derive(Debug, Clone, Copy)]
@@ -116,15 +121,39 @@ impl TruthInference for Minimax {
         // unchanged.
         let mut active: Vec<(u8, f64)> = Vec::with_capacity(cat.n * l);
         let mut active_off: Vec<usize> = vec![0; cat.n + 1];
-        // Flat batch of ℓ-wide model rows (one per (answer, hypothesis)
-        // pair) and their log-sum-exps: the hot passes gather many rows
-        // into this scratch and softmax/lse them with one batched
-        // kernel call instead of one dispatch per row. Sized once for
-        // the largest flush ([`ROW_BLOCK`] rows, or one task's worth if
-        // a task alone exceeds the block).
         let max_task_len = (0..cat.n).map(|t| cat.task_len(t)).max().unwrap_or(0);
-        let mut row_buf: Vec<f64> = vec![0.0; ROW_BLOCK.max(l * max_task_len) * l];
-        let mut lse_buf: Vec<f64> = vec![0.0; l * max_task_len];
+        let specialised = (2..=4).contains(&l);
+        // Per-chunk scratch of the specialised passes, allocated once:
+        // its size is fixed by [`CHUNK_ROWS`] × [`BLOCK_CHUNKS`], not by
+        // the dataset (only chunk 0 also fits the largest task).
+        let mut chunks: Vec<Mutex<Chunk>> = if specialised {
+            (0..BLOCK_CHUNKS)
+                .map(|c| {
+                    let rows = if c == 0 {
+                        CHUNK_ROWS.max(l * max_task_len)
+                    } else {
+                        CHUNK_ROWS
+                    };
+                    Mutex::new(Chunk::new(l, rows))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        // Flat batch of ℓ-wide model rows and their log-sum-exps for the
+        // dynamic-width fallback, sized for its largest task.
+        let dyn_len = if specialised { 0 } else { l * max_task_len };
+        let mut row_buf: Vec<f64> = Vec::with_capacity(dyn_len * l);
+        let mut lse_buf: Vec<f64> = Vec::with_capacity(dyn_len);
+
+        // The fan-out budget, gated by one dual-ascent step's row work:
+        // at most ℓ model rows of ℓ lanes per answer.
+        let thread_budget = options.threads.unwrap_or_else(exec::default_threads).max(1);
+        let threads = if cat.num_answers() * l * l >= PARALLEL_ESTEP_MIN_WORK {
+            thread_budget
+        } else {
+            1
+        };
 
         let mut post = cat.majority_posteriors();
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
@@ -165,21 +194,21 @@ impl TruthInference for Minimax {
             // The two hot passes are specialised by ℓ so the model rows
             // live in fixed-size stack arrays (no bounds checks, unrolled
             // lanes); every dataset in the benchmark has ℓ ∈ {2, 3, 4}.
-            // The dynamic fallback performs the identical operations in
-            // the identical order on slices for any other ℓ (exercised by
-            // the `six_choice_fallback_runs` test).
+            // The serial dynamic fallback performs the identical
+            // operations in the identical order on slices for any other
+            // ℓ (exercised by the `six_choice_fallback_runs` test).
             match l {
                 2 => {
-                    dual_ascent::<2>(self, &cat, &mut st);
-                    truth_update::<2>(&cat, &mut st);
+                    dual_ascent::<2>(self, &cat, &mut st, &mut chunks, threads);
+                    truth_update::<2>(&cat, &mut st, &chunks, threads);
                 }
                 3 => {
-                    dual_ascent::<3>(self, &cat, &mut st);
-                    truth_update::<3>(&cat, &mut st);
+                    dual_ascent::<3>(self, &cat, &mut st, &mut chunks, threads);
+                    truth_update::<3>(&cat, &mut st, &chunks, threads);
                 }
                 4 => {
-                    dual_ascent::<4>(self, &cat, &mut st);
-                    truth_update::<4>(&cat, &mut st);
+                    dual_ascent::<4>(self, &cat, &mut st, &mut chunks, threads);
+                    truth_update::<4>(&cat, &mut st, &chunks, threads);
                 }
                 _ => {
                     dual_ascent_dyn(self, &cat, &mut st);
@@ -231,11 +260,82 @@ struct State<'a> {
     lse_buf: &'a mut Vec<f64>,
 }
 
-/// Rows gathered per batched-softmax flush in the specialised hot
-/// passes. Large enough to amortise the kernel dispatch and make the
-/// sub-vector remainder negligible, small enough to stay L1-resident
-/// (512 rows × 4 lanes × 8 B = 16 KB).
-const ROW_BLOCK: usize = 512;
+/// Most model rows one chunk of the specialised passes holds (a task
+/// with more rows gets a chunk, and a super-block, of its own): 512
+/// rows × 4 lanes × 8 B = 16 KB, L1-resident while the chunk builds,
+/// softmaxes and differentiates them.
+const CHUNK_ROWS: usize = 512;
+
+/// Chunks per dual-ascent super-block, so a block holds at most 2¹⁴
+/// rows. Each block's chunks fan out in one pool batch; enough of them
+/// to balance uneven tasks across several cores.
+const BLOCK_CHUNKS: usize = 32;
+
+/// One chunk's scratch in the specialised passes. The chunk layout is a
+/// function of the data alone, never of the thread count, and every
+/// chunk does the same arithmetic on whichever thread runs it.
+struct Chunk {
+    /// The tasks `first..end` this chunk covers in the current block.
+    first: usize,
+    end: usize,
+    /// ℓ-wide rows: the model rows, softmaxed in place, then each
+    /// row's gradient contribution.
+    rows: Vec<f64>,
+    /// The τ-gradient rows of tasks `first..end`.
+    grad_tau: Vec<f64>,
+    /// Per-row log-sum-exps of the truth update.
+    lse: Vec<f64>,
+}
+
+impl Chunk {
+    fn new(l: usize, rows: usize) -> Self {
+        Self {
+            first: 0,
+            end: 0,
+            rows: vec![0.0; rows * l],
+            grad_tau: vec![0.0; CHUNK_ROWS * l],
+            lse: vec![0.0; CHUNK_ROWS],
+        }
+    }
+}
+
+/// Cut the next dual-ascent super-block, starting at task `start`, into
+/// `chunks` and return how many it fills. A chunk takes whole tasks up
+/// to [`CHUNK_ROWS`] rows, counting each task as at least one row so a
+/// chunk never covers more than [`CHUNK_ROWS`] tasks. A task with more
+/// rows sits alone in chunk 0 of a block of its own (chunk 0 is the one
+/// sized for the largest task).
+fn plan_block(cat: &Cat, active_off: &[usize], start: usize, chunks: &mut [Mutex<Chunk>]) -> usize {
+    let mut k = 0;
+    let mut task = start;
+    while k < chunks.len() && task < cat.n {
+        let first = task;
+        let mut rows = 0;
+        while task < cat.n {
+            let need = ((active_off[task + 1] - active_off[task]) * cat.task_len(task)).max(1);
+            if rows + need > CHUNK_ROWS && (rows > 0 || k > 0) {
+                break;
+            }
+            rows += need;
+            task += 1;
+            if rows > CHUNK_ROWS {
+                break;
+            }
+        }
+        if task == first {
+            break;
+        }
+        let c = chunks[k]
+            .get_mut()
+            .expect("chunk scratch poisoned by a panicked chunk");
+        (c.first, c.end) = (first, task);
+        k += 1;
+        if rows > CHUNK_ROWS {
+            break;
+        }
+    }
+    k
+}
 
 /// The regularised multiplier updates after one gradient accumulation
 /// (cold relative to the accumulation itself, so kept dynamic and
@@ -269,100 +369,142 @@ fn update_multipliers(mm: &Minimax, cat: &Cat, st: &mut State) {
 /// row borrow is a checked-once fixed-width conversion. Arithmetic and
 /// evaluation order match [`dual_ascent_dyn`] exactly.
 ///
-/// Per task, the (answer, hypothesis) model rows are gathered into one
-/// flat batch and softmaxed with a single
-/// [`log_normalize_rows_flat`] call — the values and the gradient
-/// accumulation order are exactly those of the old softmax-per-pair
-/// loop, but the kernel dispatch (and under `fast-math-avx2` the
-/// whole `#[target_feature]` region, with the per-row `ln` vectorised
-/// across rows) is paid once per task instead of once per pair.
-fn dual_ascent<const L: usize>(mm: &Minimax, cat: &Cat, st: &mut State) {
+/// Each step walks the tasks in super-blocks ([`plan_block`]). A
+/// block's chunks fan out over the pool: each builds its (answer,
+/// hypothesis) model rows, softmaxes them with one
+/// [`log_normalize_rows_flat`] call, and turns them into its own
+/// tasks' τ-gradient rows plus one σ-gradient contribution per row.
+/// Every row and every task's τ row is independent of the others, so
+/// this part is bit-identical at any thread count. The σ fold is not:
+/// each `(w, j)` accumulator must receive its adds in task-ascending
+/// order, so the calling thread then folds the block's contributions
+/// chunk by chunk, exactly as the serial pass would.
+fn dual_ascent<const L: usize>(
+    mm: &Minimax,
+    cat: &Cat,
+    st: &mut State,
+    chunks: &mut [Mutex<Chunk>],
+    threads: usize,
+) {
+    let _timer = crate::methods::obs_kernel_mstep_seconds().start_timer();
     for _ in 0..mm.gradient_steps {
-        st.grad_tau.fill(0.0);
         st.grad_sigma.fill(0.0);
+        let (tau, sigma) = (&*st.tau, &*st.sigma);
+        let (active, active_off) = (&st.active[..], &st.active_off[..]);
 
-        // Tasks are processed in blocks whose model rows fill
-        // [`ROW_BLOCK`] (the scratch was sized in `infer`): one batched
-        // softmax per block amortises the kernel dispatch over ~hundreds
-        // of rows and leaves at most 3 sub-vector remainder rows per
-        // flush instead of per task.
         let mut start = 0;
         while start < cat.n {
-            let mut rows = 0usize;
-            let mut end = start;
-            while end < cat.n {
-                let need = (st.active_off[end + 1] - st.active_off[end]) * cat.task_len(end);
-                if rows > 0 && rows + need > ROW_BLOCK {
-                    break;
-                }
-                rows += need;
-                end += 1;
-            }
+            let k = plan_block(cat, active_off, start, chunks);
+            exec::parallel_chunks(threads, &mut chunks[..k], 1, |_, c| {
+                let c = c[0]
+                    .get_mut()
+                    .expect("chunk scratch poisoned by a panicked chunk");
+                chunk_gradients::<L>(cat, tau, sigma, active, active_off, c);
+            });
 
-            let mut out = st.row_buf[..rows * L].chunks_exact_mut(L);
-            for task in start..end {
-                let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
-                let tau_row: &[f64; L] = st.tau.row(task).try_into().expect("row width ℓ");
-                for &(worker, _) in cat.task_row(task) {
-                    let base = worker as usize * L;
-                    for &(j, _) in acts.iter() {
-                        // Model distribution for this (i, w, j).
-                        let sig_row: &[f64; L] = st
-                            .sigma
-                            .row(base + j as usize)
-                            .try_into()
-                            .expect("row width ℓ");
-                        let row: &mut [f64; L] = out
-                            .next()
-                            .expect("scratch row")
-                            .try_into()
-                            .expect("width ℓ");
-                        for k in 0..L {
-                            row[k] = tau_row[k] + sig_row[k];
+            for c in chunks[..k].iter_mut() {
+                let c = c
+                    .get_mut()
+                    .expect("chunk scratch poisoned by a panicked chunk");
+                st.grad_tau.data_mut()[c.first * L..c.end * L]
+                    .copy_from_slice(&c.grad_tau[..(c.end - c.first) * L]);
+                let mut diffs = c.rows.chunks_exact(L);
+                for task in c.first..c.end {
+                    let acts = &active[active_off[task]..active_off[task + 1]];
+                    for &(worker, _) in cat.task_row(task) {
+                        let base = worker as usize * L;
+                        for &(j, _) in acts {
+                            let d: &[f64; L] = diffs
+                                .next()
+                                .expect("one row per (answer, hypothesis) pair")
+                                .try_into()
+                                .expect("row width ℓ");
+                            let gs_row: &mut [f64; L] = st
+                                .grad_sigma
+                                .row_mut(base + j as usize)
+                                .try_into()
+                                .expect("row width ℓ");
+                            for k in 0..L {
+                                gs_row[k] += d[k];
+                            }
                         }
                     }
                 }
+                start = c.end;
             }
-            log_normalize_rows_flat(L, &mut st.row_buf[..rows * L]); // now probabilities
-
-            let mut lps = st.row_buf[..rows * L].chunks_exact(L);
-            for task in start..end {
-                let acts = &st.active[st.active_off[task]..st.active_off[task + 1]];
-                let gt_row: &mut [f64; L] =
-                    st.grad_tau.row_mut(task).try_into().expect("row width ℓ");
-                for &(worker, label) in cat.task_row(task) {
-                    let base = worker as usize * L;
-                    for &(j, qj) in acts.iter() {
-                        let lp: &[f64; L] = lps
-                            .next()
-                            .expect("one row per (answer, hypothesis) pair")
-                            .try_into()
-                            .expect("row width ℓ");
-                        let gs_row: &mut [f64; L] = st
-                            .grad_sigma
-                            .row_mut(base + j as usize)
-                            .try_into()
-                            .expect("row width ℓ");
-                        for k in 0..L {
-                            let obs = if k == label as usize { 1.0 } else { 0.0 };
-                            let diff = qj * (obs - lp[k]);
-                            gt_row[k] += diff;
-                            gs_row[k] += diff;
-                        }
-                    }
-                }
-            }
-
-            start = end;
         }
 
         update_multipliers(mm, cat, st);
     }
 }
 
+/// The parallel part of one dual-ascent step for one chunk: model rows,
+/// their softmax, the chunk's τ-gradient rows, and each row's σ-gradient
+/// contribution `q_i(j)·(obs − π)` written over the row.
+fn chunk_gradients<const L: usize>(
+    cat: &Cat,
+    tau: &DMat,
+    sigma: &DMat,
+    active: &[(u8, f64)],
+    active_off: &[usize],
+    c: &mut Chunk,
+) {
+    let mut out = c.rows.chunks_exact_mut(L);
+    let mut n_rows = 0;
+    for task in c.first..c.end {
+        let acts = &active[active_off[task]..active_off[task + 1]];
+        let tau_row: &[f64; L] = tau.row(task).try_into().expect("row width ℓ");
+        for &(worker, _) in cat.task_row(task) {
+            let base = worker as usize * L;
+            for &(j, _) in acts {
+                // Model distribution for this (i, w, j).
+                let sig_row: &[f64; L] = sigma
+                    .row(base + j as usize)
+                    .try_into()
+                    .expect("row width ℓ");
+                let row: &mut [f64; L] = out
+                    .next()
+                    .expect("scratch row")
+                    .try_into()
+                    .expect("width ℓ");
+                for k in 0..L {
+                    row[k] = tau_row[k] + sig_row[k];
+                }
+            }
+        }
+        n_rows += acts.len() * cat.task_len(task);
+    }
+    let rows = &mut c.rows[..n_rows * L];
+    log_normalize_rows_flat(L, rows); // now probabilities
+
+    let mut lps = rows.chunks_exact_mut(L);
+    let grad_tau = &mut c.grad_tau[..(c.end - c.first) * L];
+    grad_tau.fill(0.0);
+    for (task, gt) in (c.first..c.end).zip(grad_tau.chunks_exact_mut(L)) {
+        let acts = &active[active_off[task]..active_off[task + 1]];
+        let gt_row: &mut [f64; L] = gt.try_into().expect("row width ℓ");
+        for &(_, label) in cat.task_row(task) {
+            for &(_, qj) in acts {
+                let lp: &mut [f64; L] = lps
+                    .next()
+                    .expect("one row per (answer, hypothesis) pair")
+                    .try_into()
+                    .expect("row width ℓ");
+                for k in 0..L {
+                    let obs = if k == label as usize { 1.0 } else { 0.0 };
+                    let diff = qj * (obs - lp[k]);
+                    gt_row[k] += diff;
+                    lp[k] = diff;
+                }
+            }
+        }
+    }
+}
+
 /// Dynamic-width fallback for [`dual_ascent`] (ℓ outside the
 /// specialised range): same operations, same order, slice-based.
 fn dual_ascent_dyn(mm: &Minimax, cat: &Cat, st: &mut State) {
+    let _timer = crate::methods::obs_kernel_mstep_seconds().start_timer();
     let l = st.tau.cols();
     for _ in 0..mm.gradient_steps {
         st.grad_tau.fill(0.0);
@@ -419,54 +561,89 @@ fn dual_ascent_dyn(mm: &Minimax, cat: &Cat, st: &mut State) {
 /// log-sum-exp of the model row once and exponentiates a single
 /// element — the same values the full row-normalise produced, minus
 /// ℓ−1 unused `exp`s and `ln`s per row.
-fn truth_update<const L: usize>(cat: &Cat, st: &mut State) {
+///
+/// Tasks are independent here, so they fan out in contiguous ranges,
+/// one per chunk scratch: range `c` writes only its own posterior rows
+/// and uses only scratch `c` (its lock is never contended).
+fn truth_update<const L: usize>(
+    cat: &Cat,
+    st: &mut State,
+    chunks: &[Mutex<Chunk>],
+    threads: usize,
+) {
     let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
+    let (tau, sigma) = (&*st.tau, &*st.sigma);
+    let tasks_per_chunk = cat.n.div_ceil(chunks.len()).max(1);
+    exec::parallel_chunks(
+        threads,
+        st.post.data_mut(),
+        tasks_per_chunk * L,
+        |ci, post| {
+            let mut c = chunks[ci]
+                .lock()
+                .expect("chunk scratch poisoned by a panicked chunk");
+            chunk_posteriors::<L>(cat, tau, sigma, ci * tasks_per_chunk, post, &mut c);
+        },
+    );
+}
+
+/// The truth update of the tasks whose posterior rows are `post`,
+/// starting at task `first`, in chunk `c`'s scratch.
+fn chunk_posteriors<const L: usize>(
+    cat: &Cat,
+    tau: &DMat,
+    sigma: &DMat,
+    first: usize,
+    post: &mut [f64],
+    c: &mut Chunk,
+) {
     let mut fused_rows = 0u64;
-    for task in 0..cat.n {
+    for (task, post_row) in (first..).zip(post.chunks_exact_mut(L)) {
         if cat.golden[task].is_some() || cat.task_len(task) == 0 {
             continue;
         }
         fused_rows += 1;
-        let answers = cat.task_row(task);
-        let tau_row: &[f64; L] = st.tau.row(task).try_into().expect("row width ℓ");
-        // Gather the ℓ model rows of every answer into one flat batch
-        // and log-sum-exp them in a single kernel call; only the
-        // answered label's probability is read out afterwards. The
-        // scratch was sized in `infer` for the largest task.
-        let rows = answers.len() * L;
-        let mut out = st.row_buf[..rows * L].chunks_exact_mut(L);
-        for &(worker, _) in answers {
-            let base = worker as usize * L;
-            for j in 0..L {
-                let sig_row: &[f64; L] = st.sigma.row(base + j).try_into().expect("row width ℓ");
-                let row: &mut [f64; L] = out
-                    .next()
-                    .expect("scratch row")
-                    .try_into()
-                    .expect("width ℓ");
-                for k in 0..L {
-                    row[k] = tau_row[k] + sig_row[k];
+        let tau_row: &[f64; L] = tau.row(task).try_into().expect("row width ℓ");
+        let mut logp = [0.0f64; L];
+        // Gather the ℓ model rows of a run of answers into one flat
+        // batch and log-sum-exp them in a single kernel call; only the
+        // answered label's probability is read out afterwards. A run is
+        // the whole task unless it has more than `CHUNK_ROWS` rows.
+        for answers in cat.task_row(task).chunks(CHUNK_ROWS / L) {
+            let rows = answers.len() * L;
+            let mut out = c.rows[..rows * L].chunks_exact_mut(L);
+            for &(worker, _) in answers {
+                let base = worker as usize * L;
+                for j in 0..L {
+                    let sig_row: &[f64; L] = sigma.row(base + j).try_into().expect("row width ℓ");
+                    let row: &mut [f64; L] = out
+                        .next()
+                        .expect("scratch row")
+                        .try_into()
+                        .expect("width ℓ");
+                    for k in 0..L {
+                        row[k] = tau_row[k] + sig_row[k];
+                    }
+                }
+            }
+            log_sum_exp_rows_flat(L, &c.rows[..rows * L], &mut c.lse[..rows]);
+
+            for (r, &(_, label)) in answers.iter().enumerate() {
+                for (j, lp) in logp.iter_mut().enumerate() {
+                    let lse = c.lse[r * L + j];
+                    // Mirror log_normalize's degenerate-input branch
+                    // (all -inf → uniform mass).
+                    let p = if lse.is_finite() {
+                        kernels::exp(c.rows[(r * L + j) * L + label as usize] - lse)
+                    } else {
+                        1.0 / L as f64
+                    };
+                    *lp += kernels::safe_ln(p);
                 }
             }
         }
-        log_sum_exp_rows_flat(L, &st.row_buf[..rows * L], &mut st.lse_buf[..rows]);
-
-        let mut logp = [0.0f64; L];
-        for (r, &(_, label)) in answers.iter().enumerate() {
-            for (j, lp) in logp.iter_mut().enumerate() {
-                let lse = st.lse_buf[r * L + j];
-                // Mirror log_normalize's degenerate-input branch
-                // (all -inf → uniform mass).
-                let p = if lse.is_finite() {
-                    kernels::exp(st.row_buf[(r * L + j) * L + label as usize] - lse)
-                } else {
-                    1.0 / L as f64
-                };
-                *lp += kernels::safe_ln(p);
-            }
-        }
         log_normalize(&mut logp);
-        st.post.row_mut(task).copy_from_slice(&logp);
+        post_row.copy_from_slice(&logp);
     }
     crate::methods::obs_fused_rows().add(fused_rows);
 }

@@ -22,6 +22,15 @@ pub(crate) fn obs_kernel_estep_seconds() -> &'static crowd_obs::Histogram {
     H.get_or_init(|| crowd_obs::histogram("core.kernel.estep_seconds"))
 }
 
+/// Wall time of one M-step pass that is not a closed-form table update
+/// (Minimax's dual ascent: `gradient_steps` softmax-and-fold rounds),
+/// one sample per outer iteration — the complement of
+/// `core.kernel.estep_seconds` for the same method.
+pub(crate) fn obs_kernel_mstep_seconds() -> &'static crowd_obs::Histogram {
+    static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
+    H.get_or_init(|| crowd_obs::histogram("core.kernel.mstep_seconds"))
+}
+
 mod bcc;
 mod catd;
 mod cbcc;

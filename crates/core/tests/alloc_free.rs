@@ -9,17 +9,17 @@
 //! assembly) is iteration-count-independent, so any per-iteration heap
 //! traffic would show up as `allocs(long) > allocs(short)`.
 //!
-//! Runs with `harness = false` so the whole process is single-threaded
-//! and no test-runner machinery allocates between the two measurements.
-//! The instances are kept below the methods' parallel fan-out thresholds,
-//! which is exactly the regime the zero-allocation guarantee covers (the
-//! gated fan-out path trades allocation-freedom for cores; see
-//! ARCHITECTURE.md).
+//! Runs with `harness = false` so no test-runner machinery allocates
+//! between the two measurements. The instances are kept below the
+//! methods' parallel fan-out thresholds, which is the regime the
+//! zero-allocation guarantee covers for every method; Minimax is also
+//! audited above its gate with two threads, where its fan-out reuses
+//! scratch allocated once per run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crowd_core::methods::{Ds, Glad, Lfc, LfcN, Zc};
+use crowd_core::methods::{Ds, Glad, Lfc, LfcN, Minimax, Zc};
 use crowd_core::{InferenceOptions, TruthInference};
 use crowd_data::datasets::PaperDataset;
 use crowd_data::Dataset;
@@ -54,11 +54,18 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocation count of one full `infer` run pinned to exactly
 /// `iterations` outer iterations (tolerance so small the tracker cannot
-/// converge while the parameters still move).
-fn allocations_for(method: &dyn TruthInference, dataset: &Dataset, iterations: usize) -> u64 {
+/// converge while the parameters still move), with the method's
+/// internal fan-out capped at `threads`.
+fn allocations_for(
+    method: &dyn TruthInference,
+    dataset: &Dataset,
+    iterations: usize,
+    threads: Option<usize>,
+) -> u64 {
     let options = InferenceOptions {
         max_iterations: iterations,
         tolerance: 1e-300,
+        threads,
         ..InferenceOptions::seeded(7)
     };
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -73,11 +80,16 @@ fn allocations_for(method: &dyn TruthInference, dataset: &Dataset, iterations: u
     after - before
 }
 
-fn assert_iteration_alloc_free(method: &dyn TruthInference, dataset: &Dataset) {
-    // Warm-up run absorbs any one-time lazy initialisation.
-    let _ = allocations_for(method, dataset, 2);
-    let short = allocations_for(method, dataset, 3);
-    let long = allocations_for(method, dataset, 12);
+fn assert_iteration_alloc_free(
+    method: &dyn TruthInference,
+    dataset: &Dataset,
+    threads: Option<usize>,
+) {
+    // Warm-up run absorbs any one-time lazy initialisation (including
+    // spawning the pool's workers).
+    let _ = allocations_for(method, dataset, 2, threads);
+    let short = allocations_for(method, dataset, 3, threads);
+    let long = allocations_for(method, dataset, 12, threads);
     assert_eq!(
         short,
         long,
@@ -87,7 +99,7 @@ fn assert_iteration_alloc_free(method: &dyn TruthInference, dataset: &Dataset) {
         long
     );
     println!(
-        "  {:<6} {} allocations regardless of iteration count",
+        "  {:<7} {} allocations regardless of iteration count",
         method.name(),
         short
     );
@@ -96,13 +108,24 @@ fn assert_iteration_alloc_free(method: &dyn TruthInference, dataset: &Dataset) {
 fn main() {
     println!("per-iteration allocation audit (counting global allocator):");
     let categorical = PaperDataset::DProduct.generate(0.05, 7);
-    assert_iteration_alloc_free(&Ds, &categorical);
-    assert_iteration_alloc_free(&Lfc::default(), &categorical);
-    assert_iteration_alloc_free(&Zc::default(), &categorical);
-    assert_iteration_alloc_free(&Glad::default(), &categorical);
+    assert_iteration_alloc_free(&Ds, &categorical, None);
+    assert_iteration_alloc_free(&Lfc::default(), &categorical, None);
+    assert_iteration_alloc_free(&Zc::default(), &categorical, None);
+    assert_iteration_alloc_free(&Glad::default(), &categorical, None);
+    assert_iteration_alloc_free(&Minimax::default(), &categorical, None);
+
+    // Above Minimax's fan-out gate (answers × ℓ² ≥ 2¹³, ℓ = 2): the
+    // fanned-out dual ascent and truth update must stay flat too.
+    let fanned_out = PaperDataset::DProduct.generate(0.2, 7);
+    assert!(
+        categorical.num_answers() * 4 < 1 << 13 && fanned_out.num_answers() * 4 >= 1 << 13,
+        "the two Minimax legs must sit on either side of the fan-out gate"
+    );
+    println!("  fanned out, 2 threads:");
+    assert_iteration_alloc_free(&Minimax::default(), &fanned_out, Some(2));
 
     let numeric = PaperDataset::NEmotion.generate(0.2, 7);
-    assert_iteration_alloc_free(&LfcN::default(), &numeric);
+    assert_iteration_alloc_free(&LfcN::default(), &numeric, None);
 
     // PM and CATD iterate discrete truth assignments, which reach an
     // exact fixed point (parameter delta identically zero) within a few

@@ -532,34 +532,45 @@ mod tests {
     #[test]
     fn concurrent_readers_see_consistent_monotonic_epochs() {
         // Writer publishes (epoch, checksum) pairs; readers must never
-        // see a torn pair or an epoch that goes backwards.
+        // see a torn pair or an epoch that goes backwards. Each reader
+        // reads once before the writer starts (the barrier), so the
+        // writer cannot finish before some reader has been scheduled.
         let cell: Arc<Published<(u64, u64)>> = Arc::new(Published::new(0, |e| (e, e ^ 0xABCD)));
         let done = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(std::sync::Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 let done = Arc::clone(&done);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
                     let slot = cell.register_slot();
                     let mut last = 0u64;
                     let mut reads = 0u64;
-                    while !done.load(Ordering::SeqCst) {
+                    let mut read = || {
                         let v = cell.read_with(&slot);
                         assert_eq!(v.1, v.0 ^ 0xABCD, "torn snapshot");
                         assert!(v.0 >= last, "epoch went backwards: {} < {last}", v.0);
                         last = v.0;
                         reads += 1;
+                    };
+                    read();
+                    started.wait();
+                    while !done.load(Ordering::SeqCst) {
+                        read();
                     }
                     reads
                 })
             })
             .collect();
+        started.wait();
         for _ in 0..2000 {
             cell.publish_with(|_, e| (e, e ^ 0xABCD));
         }
         done.store(true, Ordering::SeqCst);
-        let total: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total > 0);
+        for reader in readers {
+            assert!(reader.join().unwrap() > 0, "a reader never read");
+        }
         assert_eq!(cell.epoch(), 2001);
     }
 }
