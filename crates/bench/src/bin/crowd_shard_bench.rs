@@ -118,7 +118,7 @@ fn main() {
             let mut result = None;
             for _ in 0..=repeats {
                 let start = Instant::now();
-                let r = Ds.infer_sharded(&view, &options).expect("valid view");
+                let r = Ds.infer_view(&view, &options).expect("valid view");
                 let elapsed = start.elapsed().as_secs_f64();
                 if result.is_none() {
                     result = Some(r); // warm-up run, untimed

@@ -99,11 +99,11 @@ fn main() {
                 };
                 for batch in StreamSession::replay(&run, batch_size) {
                     engine.push_batch(&batch.records).expect("valid replay");
-                    // Compact outside the timed sections so both paths
+                    // Sync the view outside the timed sections so both paths
                     // measure pure re-convergence, and alternate the
                     // measurement order per round so neither path
                     // systematically inherits the other's warmed caches.
-                    engine.compact();
+                    engine.sync_shards();
                     let (cold, warm) = if batch.round % 2 == 0 {
                         let start = Instant::now();
                         let cold = engine.converge_cold().expect("cold converge");

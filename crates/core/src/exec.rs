@@ -738,9 +738,9 @@ where
 /// For f64 *sums* the pairwise shape still differs from a left fold
 /// (floating-point addition is not associative), which is why the
 /// sharded EM M-steps do **not** tree-reduce their confusion partials:
-/// they fold shards sequentially in ascending order, reproducing the
-/// unsharded task-major walk bit-for-bit (see
-/// `methods/ds.rs::run_sharded` and ARCHITECTURE.md §sharded substrate).
+/// they fold shards sequentially in ascending order, so the sum is the
+/// same at any shard count (see `methods/ds.rs::DsEngine` and
+/// ARCHITECTURE.md §sharded substrate).
 ///
 /// Returns `None` for an empty input.
 pub fn tree_reduce<T>(mut items: Vec<T>, combine: impl Fn(T, T) -> T) -> Option<T> {

@@ -12,6 +12,7 @@ use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
 };
 use crate::methods::ds::DsEngine;
+use crate::views::ShardedView;
 
 /// LFC: MAP Dawid–Skene with diagonal-favouring Dirichlet priors.
 #[derive(Debug, Clone, Copy)]
@@ -34,36 +35,19 @@ impl Default for Lfc {
 }
 
 impl Lfc {
-    /// Run LFC directly on a prebuilt categorical view — the streaming
-    /// entry point (see `Ds::infer_view`); `options.warm_start` resumes
-    /// from a previous run's state.
+    /// Run LFC on a prebuilt view — the streaming entry point (see
+    /// `Ds::infer_view`); `options.warm_start` resumes from a previous
+    /// run's state.
     pub fn infer_view(
         &self,
-        view: &crate::views::Cat,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
         DsEngine {
-            method: self.name(),
             diag_prior: self.diag_prior,
             off_prior: self.off_prior,
         }
-        .run_view(view, options)
-    }
-
-    /// Run LFC on a task-range sharded view — bit-identical to
-    /// [`Self::infer_view`] on the equivalent flat view at any shard
-    /// count; see `DsEngine::run_sharded`.
-    pub fn infer_sharded(
-        &self,
-        view: &crate::views::ShardedView,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        DsEngine {
-            method: self.name(),
-            diag_prior: self.diag_prior,
-            off_prior: self.off_prior,
-        }
-        .run_sharded(view, options)
+        .run(view, options)
     }
 }
 
@@ -95,12 +79,8 @@ impl TruthInference for Lfc {
             options,
             self.supports(dataset.task_type()),
         )?;
-        DsEngine {
-            method: self.name(),
-            diag_prior: self.diag_prior,
-            off_prior: self.off_prior,
-        }
-        .run(dataset, options)
+        let view = ShardedView::build(self.name(), dataset, options, true)?;
+        self.infer_view(&view, options)
     }
 }
 

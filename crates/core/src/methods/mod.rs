@@ -14,9 +14,9 @@ pub(crate) fn obs_fused_rows() -> &'static crowd_obs::Counter {
     H.get_or_init(|| crowd_obs::counter("core.kernel.fused_rows_total"))
 }
 
-/// Wall time of one fused E-step sweep (flat or sharded), timer-sampled
-/// around the whole pass — the kernel-level complement of the per-shard
-/// `core.shard.estep_seconds`.
+/// Wall time of one fused E-step sweep, timer-sampled around the whole
+/// pass (the view-level methods record the same sample into
+/// `core.shard.estep_seconds`).
 pub(crate) fn obs_kernel_estep_seconds() -> &'static crowd_obs::Histogram {
     static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
     H.get_or_init(|| crowd_obs::histogram("core.kernel.estep_seconds"))

@@ -12,19 +12,19 @@ use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
-use crate::views::Cat;
+use crate::views::{Cat, ShardedView};
 
 /// Majority Voting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mv;
 
 impl Mv {
-    /// Run MV directly on a prebuilt categorical view — the streaming
-    /// entry point (see `Ds::infer_view`). MV is its own fixed point, so
-    /// there is no warm state to resume.
+    /// Run MV on a prebuilt view — the streaming entry point (see
+    /// `Ds::infer_view`). MV is its own fixed point, so there is no warm
+    /// state to resume.
     pub fn infer_view(
         &self,
-        view: &Cat,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
         crate::framework::validate_view_options(view.m, options)?;
@@ -61,8 +61,8 @@ impl TruthInference for Mv {
             options,
             self.supports(dataset.task_type()),
         )?;
-        let cat = Cat::build(self.name(), dataset, options, false)?;
-        self.infer_view(&cat, options)
+        let view = ShardedView::build(self.name(), dataset, options, false)?;
+        self.infer_view(&view, options)
     }
 }
 

@@ -19,7 +19,8 @@ use crate::framework::{
     validate_common, InferenceError, InferenceOptions, InferenceResult, TruthInference,
     WorkerQuality,
 };
-use crate::views::{initial_accuracy, Cat};
+use crate::methods::ds::{e_step_chunks, estep_threads, thread_budget};
+use crate::views::{initial_accuracy, Cat, ShardedView};
 
 /// ZenCrowd: EM over one-probability workers.
 #[derive(Debug, Clone, Copy)]
@@ -63,30 +64,37 @@ impl TruthInference for Zc {
             options,
             self.supports(dataset.task_type()),
         )?;
-        let cat = Cat::build(self.name(), dataset, options, true)?;
-        self.infer_view(&cat, options)
+        let view = ShardedView::build(self.name(), dataset, options, true)?;
+        self.infer_view(&view, options)
     }
 }
 
 impl Zc {
-    /// Run ZC directly on a prebuilt categorical view — the streaming
-    /// entry point (see `Ds::infer_view`). `options.warm_start` resumes
-    /// the per-worker reliabilities from the previous run (any
-    /// [`WorkerQuality`] that collapses to a probability-like scalar);
-    /// the posterior side of a warm start is implicit, since the first
-    /// E-step recomputes every posterior from the warmed reliabilities.
+    /// Run ZC on a prebuilt view — the streaming entry point (see
+    /// `Ds::infer_view`). `options.warm_start` resumes the per-worker
+    /// reliabilities from the previous run (any [`WorkerQuality`] that
+    /// collapses to a probability-like scalar); the posterior side of a
+    /// warm start is implicit, since the first E-step recomputes every
+    /// posterior from the warmed reliabilities.
+    ///
+    /// The E-step fans out by task chunk (every task row is the same
+    /// arithmetic, so posteriors are bit-identical at any thread and
+    /// shard count). The M-step folds each worker's per-shard adjacency
+    /// rows in ascending shard order: the canonical task-ascending row
+    /// order makes the expected-correct sum independent of the shard
+    /// count and of the arrival order.
     pub fn infer_view(
         &self,
-        cat: &Cat,
+        view: &ShardedView,
         options: &InferenceOptions,
     ) -> Result<InferenceResult, InferenceError> {
-        if cat.num_answers() == 0 {
+        if view.num_answers() == 0 {
             return Err(InferenceError::EmptyDataset);
         }
-        crate::framework::validate_view_options(cat.m, options)?;
-        let lm1 = (cat.l - 1).max(1) as f64;
+        crate::framework::validate_view_options(view.m, options)?;
+        let lm1 = (view.l - 1).max(1) as f64;
 
-        let mut quality = initial_accuracy(options, cat.m, 0.7);
+        let mut quality = initial_accuracy(options, view.m, 0.7);
         if let Some(warm) = &options.warm_start {
             for (w, q) in quality.iter_mut().enumerate() {
                 if let Some(prev) = warm.worker_quality.get(w).and_then(WorkerQuality::scalar) {
@@ -97,14 +105,15 @@ impl Zc {
                 }
             }
         }
-        let mut post = cat.majority_posteriors();
+        let mut post = view.majority_posteriors();
         // Per-worker log tables refreshed once per iteration (2m `ln`
         // calls instead of |V|·ℓ): exactly the `p.max(1e-12).ln()` terms
         // the per-answer form computes, so the posterior sums are
         // bit-identical. The loop below allocates nothing per iteration.
-        let mut ln_correct = vec![0.0f64; cat.m];
-        let mut ln_wrong = vec![0.0f64; cat.m];
+        let mut ln_correct = vec![0.0f64; view.m];
+        let mut ln_wrong = vec![0.0f64; view.m];
         let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
+        let estep_threads = estep_threads(view, thread_budget(options));
 
         loop {
             // E-step: posterior over each task's truth under current q.
@@ -114,166 +123,20 @@ impl Zc {
             // accumulate + normalize written straight into the posterior.
             safe_ln_map_into(&mut ln_correct, |w| quality[w]);
             safe_ln_map_into(&mut ln_wrong, |w| (1.0 - quality[w]) / lm1);
-            {
-                let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                let mut fused_rows = 0u64;
-                for task in 0..cat.n {
-                    if cat.golden[task].is_some() {
-                        continue; // stays clamped
-                    }
-                    if cat.task_len(task) == 0 {
-                        continue; // stays uniform
-                    }
-                    let row = post.row_mut(task);
-                    row.fill(0.0);
-                    fused_two_term_row(
-                        row,
-                        cat.task(task).map(|(worker, label)| {
-                            (label as usize, ln_correct[worker], ln_wrong[worker])
-                        }),
-                    );
-                    fused_rows += 1;
-                }
-                crate::methods::obs_fused_rows().add(fused_rows);
-            }
-            cat.clamp_golden(&mut post);
+            let (lc, lw) = (ln_correct.as_slice(), ln_wrong.as_slice());
+            e_step_chunks(view, &mut post, estep_threads, |answers, row| {
+                row.fill(0.0);
+                fused_two_term_row(
+                    row,
+                    answers.iter().map(|&(worker, label)| {
+                        (label as usize, lc[worker as usize], lw[worker as usize])
+                    }),
+                );
+            });
 
             // M-step: expected fraction of correct answers per worker,
-            // smoothed by a symmetric Beta prior.
-            for w in 0..cat.m {
-                let mut expected_correct = 0.0;
-                for (task, label) in cat.worker(w) {
-                    expected_correct += post.row(task)[label as usize];
-                }
-                let denom = cat.worker_len(w) as f64 + 2.0 * self.smoothing;
-                quality[w] = (expected_correct + self.smoothing) / denom;
-            }
-
-            if tracker.step(&quality) {
-                break;
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let labels = cat.decode(&post, &mut rng);
-        Ok(InferenceResult {
-            truths: Cat::answers(&labels),
-            worker_quality: quality
-                .into_iter()
-                .map(WorkerQuality::Probability)
-                .collect(),
-            iterations: tracker.iterations(),
-            converged: tracker.converged(),
-            posteriors: Some(post.into_nested()),
-        })
-    }
-
-    /// Run ZC on a task-range sharded view — the million-task substrate.
-    /// The E-step fans out per shard (each shard owns a disjoint block of
-    /// posterior rows; every task row is the exact [`Self::infer_view`]
-    /// arithmetic, so posteriors are bit-identical at any shard count).
-    /// The M-step folds each worker's per-shard adjacency rows in
-    /// ascending shard order: the canonical task-ascending row order
-    /// makes the expected-correct sum shard-count-invariant, and equal to
-    /// the flat `cat.worker(w)` walk on task-grouped logs.
-    pub fn infer_sharded(
-        &self,
-        view: &crate::views::ShardedView,
-        options: &InferenceOptions,
-    ) -> Result<InferenceResult, InferenceError> {
-        use crate::exec;
-        use crate::views::ShardedView;
-
-        if view.num_answers() == 0 {
-            return Err(InferenceError::EmptyDataset);
-        }
-        crate::framework::validate_view_options(view.m, options)?;
-        let l = view.l;
-        let lm1 = (l - 1).max(1) as f64;
-
-        let mut quality = initial_accuracy(options, view.m, 0.7);
-        if let Some(warm) = &options.warm_start {
-            for (w, q) in quality.iter_mut().enumerate() {
-                if let Some(prev) = warm.worker_quality.get(w).and_then(WorkerQuality::scalar) {
-                    *q = prev.clamp(1e-6, 1.0 - 1e-6);
-                }
-            }
-        }
-        let mut post = view.majority_posteriors();
-        let mut ln_correct = vec![0.0f64; view.m];
-        let mut ln_wrong = vec![0.0f64; view.m];
-        let mut tracker = ConvergenceTracker::new(options.tolerance, options.max_iterations);
-
-        let thread_budget = options.threads.unwrap_or_else(exec::default_threads).max(1);
-        let estep_work = view.num_answers() * l + 3 * view.n * l;
-        let estep_threads = if estep_work >= super::ds::PARALLEL_ESTEP_MIN_WORK {
-            thread_budget
-        } else {
-            1
-        };
-
-        fn e_step_sharded(
-            view: &ShardedView,
-            ln_correct: &[f64],
-            ln_wrong: &[f64],
-            post: &mut crowd_stats::DMat,
-            threads: usize,
-        ) {
-            let l = view.l;
-            let golden = view.golden();
-            {
-                let mut blocks: Vec<(usize, &mut [f64])> = Vec::with_capacity(view.num_shards());
-                let mut rest: &mut [f64] = post.data_mut();
-                for s in 0..view.num_shards() {
-                    let range = view.shard_tasks(s);
-                    let (head, tail) = rest.split_at_mut((range.end - range.start) * l);
-                    blocks.push((s, head));
-                    rest = tail;
-                }
-                let jobs: Vec<_> = blocks
-                    .into_iter()
-                    .map(|(s, block)| {
-                        move || {
-                            let _timer = crate::views::obs_estep_seconds().start_timer();
-                            let start = view.shard_tasks(s).start;
-                            let mut fused_rows = 0u64;
-                            for (local, row) in block.chunks_mut(l).enumerate() {
-                                let task = start + local;
-                                let answers = view.shard_task_row(s, local);
-                                if golden[task].is_some() || answers.is_empty() {
-                                    continue;
-                                }
-                                row.fill(0.0);
-                                fused_two_term_row(
-                                    row,
-                                    answers.iter().map(|&(worker, label)| {
-                                        (
-                                            label as usize,
-                                            ln_correct[worker as usize],
-                                            ln_wrong[worker as usize],
-                                        )
-                                    }),
-                                );
-                                fused_rows += 1;
-                            }
-                            crate::methods::obs_fused_rows().add(fused_rows);
-                        }
-                    })
-                    .collect();
-                exec::parallel_map(threads, jobs);
-            }
-            view.clamp_golden(post);
-        }
-
-        loop {
-            safe_ln_map_into(&mut ln_correct, |w| quality[w]);
-            safe_ln_map_into(&mut ln_wrong, |w| (1.0 - quality[w]) / lm1);
-            {
-                let _timer = crate::methods::obs_kernel_estep_seconds().start_timer();
-                e_step_sharded(view, &ln_correct, &ln_wrong, &mut post, estep_threads);
-            }
-
-            // M-step: per-worker continuation fold, shards ascending.
+            // smoothed by a symmetric Beta prior, folding shards in
+            // ascending order.
             {
                 let _timer = crate::views::obs_reduce_seconds().start_timer();
                 for (w, q) in quality.iter_mut().enumerate() {

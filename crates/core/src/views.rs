@@ -1,8 +1,10 @@
 //! Dense views of a dataset, shared by the method implementations — the
-//! data layer of the flat-memory inference substrate. Public so the
-//! streaming subsystem (`crowd-stream`) can maintain the same views
-//! incrementally and hand them straight to the view-level inference
-//! entry points (`Ds::infer_view` and friends).
+//! data layer of the flat-memory inference substrate. [`ShardedView`] is
+//! the one view D&S, LFC, ZC, GLAD and MV read; it is public so the
+//! streaming subsystem (`crowd-stream`) can maintain it incrementally
+//! and hand it straight to the view-level inference entry points
+//! (`Ds::infer_view` and friends). The other categorical methods read
+//! [`Cat`], the numeric ones [`Num`].
 //!
 //! Methods iterate the answer log thousands of times. These views extract
 //! the labels/values once and store both adjacencies (per task `W_i`, per
@@ -72,9 +74,8 @@ impl<V: Copy> Csr<V> {
     }
 
     /// Build from `(row, col, value)` triples in a **single pass**, for
-    /// callers that already know each row's entry count (the delta views
-    /// track per-row degrees; the sharded builders count while
-    /// bucketing). Unlike [`Csr::from_triples`] the iterator is consumed
+    /// callers that already know each row's entry count (the sharded
+    /// builders take degrees from the dataset or count while bucketing). Unlike [`Csr::from_triples`] the iterator is consumed
     /// once and needs no `Clone` bound — the constructor for sources
     /// that cannot be cheaply re-iterated, e.g. a streamed answer
     /// generator that never materialises the log.
@@ -198,83 +199,14 @@ impl Cat {
                 )
             }),
         );
-        let golden = match (&options.golden, use_golden) {
-            (Some(g), true) => g
-                .iter()
-                .map(|t| t.as_ref().and_then(Answer::label))
-                .collect(),
-            _ => vec![None; n],
-        };
         Ok(Self {
             n,
             m,
             l,
             task_adj,
             worker_adj,
-            golden,
+            golden: golden_labels(options, use_golden, n),
         })
-    }
-
-    /// Assemble a view from prebuilt CSR adjacencies — the entry point
-    /// for callers (the streaming delta views) that maintain the
-    /// adjacencies themselves. Both CSRs must describe the same answer
-    /// log: `task_adj` keyed by task with `(worker, label)` entries,
-    /// `worker_adj` keyed by worker with `(task, label)` entries.
-    ///
-    /// # Panics
-    /// Panics if the row counts do not match `n`/`m`, the entry totals
-    /// disagree, `golden` is not `n` long, or any entry is out of range
-    /// (worker column ≥ `m`, task column ≥ `n`, label ≥ `l`) — the EM
-    /// loops index confusion tables and posterior rows by these values
-    /// unchecked, so a malformed view must fail fast here rather than
-    /// deep inside a method.
-    pub fn from_parts(
-        n: usize,
-        m: usize,
-        l: usize,
-        task_adj: Csr<u8>,
-        worker_adj: Csr<u8>,
-        golden: Vec<Option<u8>>,
-    ) -> Self {
-        assert_eq!(task_adj.num_rows(), n, "task adjacency row count");
-        assert_eq!(worker_adj.num_rows(), m, "worker adjacency row count");
-        assert_eq!(
-            task_adj.num_entries(),
-            worker_adj.num_entries(),
-            "adjacency entry totals disagree"
-        );
-        assert_eq!(golden.len(), n, "golden vector length");
-        for t in 0..n {
-            for &(worker, label) in task_adj.row(t) {
-                assert!(
-                    (worker as usize) < m,
-                    "task {t}: worker column {worker} ≥ {m}"
-                );
-                assert!((label as usize) < l, "task {t}: label {label} ≥ {l}");
-            }
-        }
-        for w in 0..m {
-            for &(task, label) in worker_adj.row(w) {
-                assert!((task as usize) < n, "worker {w}: task column {task} ≥ {n}");
-                assert!((label as usize) < l, "worker {w}: label {label} ≥ {l}");
-            }
-        }
-        for (t, g) in golden.iter().enumerate() {
-            if let Some(label) = g {
-                assert!(
-                    (*label as usize) < l,
-                    "golden task {t}: label {label} ≥ {l}"
-                );
-            }
-        }
-        Self {
-            n,
-            m,
-            l,
-            task_adj,
-            worker_adj,
-            golden,
-        }
     }
 
     /// Total answers in the view (`|V|`).
@@ -381,6 +313,18 @@ impl Cat {
     }
 }
 
+/// Golden clamp labels per task: `options.golden` when the method uses
+/// golden tasks, else no clamps.
+fn golden_labels(options: &InferenceOptions, use_golden: bool, n: usize) -> Vec<Option<u8>> {
+    match (&options.golden, use_golden) {
+        (Some(g), true) => g
+            .iter()
+            .map(|t| t.as_ref().and_then(Answer::label))
+            .collect(),
+        _ => vec![None; n],
+    }
+}
+
 /// MAP label of one posterior row with seeded uniform tie-breaking.
 fn decode_row(p: &[f64], rng: &mut StdRng) -> u8 {
     let best = p.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -463,55 +407,6 @@ impl Num {
             worker_adj,
             golden,
         })
-    }
-
-    /// Assemble a numeric view from prebuilt CSR adjacencies (see
-    /// [`Cat::from_parts`]).
-    ///
-    /// # Panics
-    /// Panics if the row counts do not match `n`/`m`, the entry totals
-    /// disagree, `golden` is not `n` long or holds a non-finite value,
-    /// or any entry's column is out of range (worker ≥ `m`, task ≥ `n`).
-    pub fn from_parts(
-        n: usize,
-        m: usize,
-        task_adj: Csr<f64>,
-        worker_adj: Csr<f64>,
-        golden: Vec<Option<f64>>,
-    ) -> Self {
-        assert_eq!(task_adj.num_rows(), n, "task adjacency row count");
-        assert_eq!(worker_adj.num_rows(), m, "worker adjacency row count");
-        assert_eq!(
-            task_adj.num_entries(),
-            worker_adj.num_entries(),
-            "adjacency entry totals disagree"
-        );
-        assert_eq!(golden.len(), n, "golden vector length");
-        for t in 0..n {
-            for &(worker, _) in task_adj.row(t) {
-                assert!(
-                    (worker as usize) < m,
-                    "task {t}: worker column {worker} ≥ {m}"
-                );
-            }
-        }
-        for w in 0..m {
-            for &(task, _) in worker_adj.row(w) {
-                assert!((task as usize) < n, "worker {w}: task column {task} ≥ {n}");
-            }
-        }
-        for (t, g) in golden.iter().enumerate() {
-            if let Some(v) = g {
-                assert!(v.is_finite(), "golden task {t}: non-finite value {v}");
-            }
-        }
-        Self {
-            n,
-            m,
-            task_adj,
-            worker_adj,
-            golden,
-        }
     }
 
     /// Total answers in the view (`|V|`).

@@ -1,5 +1,6 @@
-//! Task-range sharding of the categorical CSR view — the data layer of
-//! the sharded EM substrate (see ARCHITECTURE.md §sharded substrate).
+//! Task-range sharding of the categorical CSR view — the one view the
+//! D&S, LFC, ZC, GLAD and MV engines read, in batch (one shard) and in
+//! streams (see ARCHITECTURE.md §sharded substrate).
 //!
 //! A [`ShardedView`] splits the task axis into contiguous ranges
 //! (the **shard directory**) and stores, per shard, both CSR
@@ -17,26 +18,27 @@
 //! every shard's worker row in ascending shard order visits a worker's
 //! answers in ascending task order **regardless of the shard count**, so
 //! any per-worker f64 fold over the sharded view is invariant in the
-//! number of shards — and equal to the unsharded fold whenever the flat
-//! view's worker rows are themselves task-ascending (true for every
-//! dataset built task-by-task: the simulators, the builders, and
-//! compacted streams of task-grouped arrivals).
+//! number of shards and in the arrival order of the answers. It is the
+//! only fold order the EM engines have.
 //!
-//! Shards are built either by slicing an existing [`Cat`]
-//! ([`ShardedView::from_cat`]) or streamed from a `(task, worker,
+//! Views are built from a dataset as one shard ([`ShardedView::build`],
+//! the batch entry point), by slicing an existing [`Cat`]
+//! ([`ShardedView::from_cat`]), or streamed from a `(task, worker,
 //! label)` iterator in a single pass ([`ShardedView::from_records`]) —
 //! per-shard buffers plus the counted CSR constructor
 //! ([`Csr::from_triples_counted`]) lift `from_triples`' `Clone`-iterator
 //! two-pass requirement, so a million-task synthetic stream never
 //! materialises one flat answer log.
 
+use crowd_data::Dataset;
 use crowd_stats::DMat;
 use rand::rngs::StdRng;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use super::{decode_row, Cat, Csr};
+use super::{decode_row, golden_labels, Cat, Csr};
 use crate::exec;
+use crate::framework::{InferenceError, InferenceOptions};
 
 /// Shards-rebuilt counter: incremented once per shard rebuild (the
 /// streaming dirty-shard path calls [`ShardedView::rebuild_shard`] only
@@ -47,7 +49,7 @@ fn obs_dirty_rebuilds() -> &'static crowd_obs::Counter {
     H.get_or_init(|| crowd_obs::counter("core.shard.dirty_rebuilds_total"))
 }
 
-/// Per-shard E-step wall time (one sample per shard per EM iteration).
+/// E-step wall time over the view (one sample per E-step sweep).
 pub(crate) fn obs_estep_seconds() -> &'static crowd_obs::Histogram {
     static H: OnceLock<crowd_obs::Histogram> = OnceLock::new();
     H.get_or_init(|| crowd_obs::histogram("core.shard.estep_seconds"))
@@ -115,8 +117,9 @@ impl ShardData {
 }
 
 /// A categorical answer view split into contiguous task-range shards —
-/// the substrate the sharded EM paths (`Ds::infer_sharded` and friends)
-/// run on. See the module docs for the layout and order guarantees.
+/// the substrate the view-level EM entry points (`Ds::infer_view` and
+/// friends) run on. See the module docs for the layout and order
+/// guarantees.
 #[derive(Debug)]
 pub struct ShardedView {
     /// Number of tasks.
@@ -128,10 +131,6 @@ pub struct ShardedView {
     /// Shard directory: task boundaries, `starts[s]..starts[s + 1]` is
     /// shard `s`'s global task range.
     starts: Vec<usize>,
-    /// Global answer offset of each shard in canonical task-major order
-    /// (`entry_offsets[s]..entry_offsets[s + 1]` indexes shard `s`'s
-    /// answers in any answer-major buffer).
-    entry_offsets: Vec<usize>,
     shards: Vec<ShardData>,
     /// Golden clamp per global task.
     golden: Vec<Option<u8>>,
@@ -159,17 +158,52 @@ impl ShardedView {
                 ShardData::from_task_adj(start, cat.m, task_adj)
             })
             .collect();
-        let mut view = Self {
+        Self {
             n: cat.n,
             m: cat.m,
             l: cat.l,
             starts,
-            entry_offsets: Vec::new(),
             shards,
             golden: cat.golden.clone(),
-        };
-        view.refresh_entry_offsets();
-        view
+        }
+    }
+
+    /// Build a one-shard view straight from a dataset's records — the
+    /// batch entry point of D&S, LFC, ZC, GLAD and MV. Fails on numeric
+    /// datasets exactly like [`Cat::build`], and takes golden clamps
+    /// from `options.golden` when `use_golden` is set.
+    pub fn build(
+        method: &'static str,
+        dataset: &Dataset,
+        options: &InferenceOptions,
+        use_golden: bool,
+    ) -> Result<Self, InferenceError> {
+        let l = dataset
+            .num_choices()
+            .ok_or(InferenceError::UnsupportedTaskType {
+                method,
+                task_type: dataset.task_type(),
+            })? as usize;
+        let (n, m) = (dataset.num_tasks(), dataset.num_workers());
+        let counts: Vec<u32> = (0..n).map(|t| dataset.task_degree(t) as u32).collect();
+        let task_adj = Csr::from_triples_counted(
+            &counts,
+            dataset.records().iter().map(|r| {
+                (
+                    r.task,
+                    r.worker as u32,
+                    r.answer.label().expect("categorical dataset"),
+                )
+            }),
+        );
+        Ok(Self {
+            n,
+            m,
+            l,
+            starts: shard_starts(n, 1),
+            shards: vec![ShardData::from_task_adj(0, m, task_adj)],
+            golden: golden_labels(options, use_golden, n),
+        })
     }
 
     /// Build directly from a `(task, worker, label)` record stream in
@@ -178,13 +212,14 @@ impl ShardedView {
     /// records are bucketed per shard with per-task degree counting,
     /// then each shard builds its CSRs via the counted constructor.
     ///
-    /// Within each task, record order is preserved, so a view streamed
-    /// from a task-grouped log is entry-identical to
-    /// [`ShardedView::from_cat`] over the equivalent flat view.
+    /// Within each task, record order is preserved, so the view is
+    /// entry-identical to [`ShardedView::from_cat`] over the flat view of
+    /// the same log.
     ///
     /// # Panics
     /// Panics on any out-of-range record (task ≥ `n`, worker ≥ `m`,
-    /// label ≥ `l`) — same fail-fast contract as [`Cat::from_parts`].
+    /// label ≥ `l`): the EM loops index their tables by these values
+    /// unchecked, so a malformed view must fail here.
     pub fn from_records(
         n: usize,
         m: usize,
@@ -222,26 +257,13 @@ impl ShardedView {
                 ShardData::from_task_adj(start, m, task_adj)
             })
             .collect();
-        let mut view = Self {
+        Self {
             n,
             m,
             l,
             starts,
-            entry_offsets: Vec::new(),
             shards,
             golden,
-        };
-        view.refresh_entry_offsets();
-        view
-    }
-
-    fn refresh_entry_offsets(&mut self) {
-        self.entry_offsets.clear();
-        self.entry_offsets.push(0);
-        let mut at = 0usize;
-        for shard in &self.shards {
-            at += shard.task_adj.num_entries();
-            self.entry_offsets.push(at);
         }
     }
 
@@ -282,7 +304,6 @@ impl ShardedView {
                 .map(|&(task, worker, label)| (task as usize - start, worker, label)),
         );
         self.shards[shard] = ShardData::from_task_adj(start, self.m, task_adj);
-        self.refresh_entry_offsets();
         obs_dirty_rebuilds().inc();
     }
 
@@ -311,13 +332,6 @@ impl ShardedView {
         self.shards[s].task_adj.num_entries()
     }
 
-    /// Global answer offset of shard `s` in canonical task-major order —
-    /// the cursor base for answer-major scratch buffers (GLAD's σ/log
-    /// tables).
-    pub fn shard_entry_offset(&self, s: usize) -> usize {
-        self.entry_offsets[s]
-    }
-
     /// Task row for **local** task `local` of shard `s` (`(worker,
     /// label)` entries, record order).
     #[inline]
@@ -332,9 +346,36 @@ impl ShardedView {
         self.shards[s].worker_adj.row(w)
     }
 
+    /// Call `f(task, answers)` for every task of the global range
+    /// `tasks`, in task order (`(worker, label)` entries, record order).
+    /// Walks the shard directory, so the range may span shards — the
+    /// task-chunked E-step and GLAD's task-major passes read the view
+    /// through this.
+    #[inline]
+    pub fn for_each_task<'a>(
+        &'a self,
+        tasks: Range<usize>,
+        mut f: impl FnMut(usize, &'a [(u32, u8)]),
+    ) {
+        let mut task = tasks.start;
+        while task < tasks.end {
+            // The shard holding `task` is non-empty, so each pass advances.
+            let s = self.shard_for_task(task);
+            let (start, end) = (self.starts[s], self.starts[s + 1].min(tasks.end));
+            let adj = &self.shards[s].task_adj;
+            for t in task..end {
+                f(t, adj.row(t - start));
+            }
+            task = end;
+        }
+    }
+
     /// Total answers in the view (`|V|`).
     pub fn num_answers(&self) -> usize {
-        *self.entry_offsets.last().unwrap()
+        self.shards
+            .iter()
+            .map(|shard| shard.task_adj.num_entries())
+            .sum()
     }
 
     /// Number of answers on global task `t`.
@@ -417,44 +458,6 @@ impl ShardedView {
             .map(|task| decode_row(post.row(task), rng))
             .collect()
     }
-
-    /// Flatten back into an unsharded [`Cat`] — the compatibility shim
-    /// for methods without a native sharded path (`Mv` in the streaming
-    /// set). Task rows concatenate verbatim; worker rows come out in the
-    /// canonical task-ascending order.
-    pub fn flatten(&self) -> Cat {
-        let task_counts: Vec<u32> = (0..self.n).map(|t| self.task_len(t) as u32).collect();
-        let task_adj = Csr::from_triples_counted(
-            &task_counts,
-            (0..self.num_shards()).flat_map(|s| {
-                let start = self.starts[s];
-                self.shard_tasks(s).flat_map(move |task| {
-                    self.shard_task_row(s, task - start)
-                        .iter()
-                        .map(move |&(worker, label)| (task, worker, label))
-                })
-            }),
-        );
-        let worker_counts: Vec<u32> = (0..self.m).map(|w| self.worker_len(w) as u32).collect();
-        let worker_adj = Csr::from_triples_counted(
-            &worker_counts,
-            (0..self.num_shards()).flat_map(|s| {
-                (0..self.m).flat_map(move |w| {
-                    self.shard_worker_row(s, w)
-                        .iter()
-                        .map(move |&(task, label)| (w, task, label))
-                })
-            }),
-        );
-        Cat::from_parts(
-            self.n,
-            self.m,
-            self.l,
-            task_adj,
-            worker_adj,
-            self.golden.clone(),
-        )
-    }
 }
 
 /// Locate the shard containing task `t` in a monotone directory
@@ -531,6 +534,23 @@ mod tests {
     }
 
     #[test]
+    fn for_each_task_walks_the_directory_across_shard_boundaries() {
+        let cat = ragged_cat();
+        for shards in [1, 2, 3, 7, 11] {
+            let view = ShardedView::from_cat(&cat, shards);
+            for start in 0..=cat.n {
+                for end in start..=cat.n {
+                    let mut rows: Vec<(usize, &[(u32, u8)])> = Vec::new();
+                    view.for_each_task(start..end, |t, row| rows.push((t, row)));
+                    let want: Vec<(usize, &[(u32, u8)])> =
+                        (start..end).map(|t| (t, cat.task_row(t))).collect();
+                    assert_eq!(rows, want, "tasks {start}..{end} at {shards} shards");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn streamed_build_matches_sliced_build() {
         let cat = ragged_cat();
         let records: Vec<(u32, u32, u8)> = (0..cat.n)
@@ -588,23 +608,6 @@ mod tests {
                     .collect::<Vec<u64>>(),
                 "{shards} shards"
             );
-        }
-    }
-
-    #[test]
-    fn flatten_round_trips_through_cat() {
-        let cat = ragged_cat();
-        let view = ShardedView::from_cat(&cat, 3);
-        let back = view.flatten();
-        assert_eq!(back.n, cat.n);
-        assert_eq!(back.num_answers(), cat.num_answers());
-        for t in 0..cat.n {
-            assert_eq!(back.task_row(t), cat.task_row(t));
-        }
-        // Worker rows come back task-ascending — equal to the flat rows
-        // on this task-grouped log.
-        for w in 0..cat.m {
-            assert_eq!(back.worker_row(w), cat.worker_row(w));
         }
     }
 

@@ -12,9 +12,9 @@
 //! Runs with `harness = false` so no test-runner machinery allocates
 //! between the two measurements. The instances are kept below the
 //! methods' parallel fan-out thresholds, which is the regime the
-//! zero-allocation guarantee covers for every method; Minimax is also
-//! audited above its gate with two threads, where its fan-out reuses
-//! scratch allocated once per run.
+//! zero-allocation guarantee covers for every method; D&S, ZC and
+//! Minimax are also audited above their gates with two threads, where
+//! the fan-out reuses buffers allocated once per run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,14 +114,32 @@ fn main() {
     assert_iteration_alloc_free(&Glad::default(), &categorical, None);
     assert_iteration_alloc_free(&Minimax::default(), &categorical, None);
 
-    // Above Minimax's fan-out gate (answers × ℓ² ≥ 2¹³, ℓ = 2): the
-    // fanned-out dual ascent and truth update must stay flat too.
+    // Above the fan-out gates (2¹³ work units, ℓ = 2): Minimax's dual
+    // ascent and truth update (answers × ℓ²) and the task-chunked D&S/ZC
+    // E-step (answers × ℓ + 3 × tasks × ℓ) must stay flat too.
     let fanned_out = PaperDataset::DProduct.generate(0.2, 7);
     assert!(
         categorical.num_answers() * 4 < 1 << 13 && fanned_out.num_answers() * 4 >= 1 << 13,
         "the two Minimax legs must sit on either side of the fan-out gate"
     );
+    let estep_work = |d: &Dataset| d.num_answers() * 2 + 3 * d.num_tasks() * 2;
+    assert!(
+        estep_work(&categorical) < 1 << 13 && estep_work(&fanned_out) >= 1 << 13,
+        "the two D&S/ZC legs must sit on either side of the E-step gate"
+    );
+    // Start the pool worker before measuring: a new thread allocates
+    // once when the OS first runs it (std copies the thread name for its
+    // stack-overflow handler), which can fall inside a measured run when
+    // the machine is busy. Two jobs meeting at a barrier make the worker
+    // run one of them, so its start-up is over before the legs below.
+    let barrier = std::sync::Barrier::new(2);
+    let meet = || {
+        barrier.wait();
+    };
+    crowd_core::exec::parallel_map(2, vec![meet, meet]);
     println!("  fanned out, 2 threads:");
+    assert_iteration_alloc_free(&Ds, &fanned_out, Some(2));
+    assert_iteration_alloc_free(&Zc::default(), &fanned_out, Some(2));
     assert_iteration_alloc_free(&Minimax::default(), &fanned_out, Some(2));
 
     let numeric = PaperDataset::NEmotion.generate(0.2, 7);

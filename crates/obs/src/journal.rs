@@ -201,8 +201,14 @@ pub fn to_json(events: &[Event], dropped: u64) -> String {
 mod tests {
     use super::*;
 
+    /// `drain` empties every thread's ring, so a test that drains while
+    /// another fills its own ring would steal the events (and the drops)
+    /// that test counts: the draining tests take turns.
+    static DRAINING: Mutex<()> = Mutex::new(());
+
     #[test]
     fn events_drain_in_sequence_order() {
+        let _turn = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
         record(SpanKind::DrainTick, 7001, 1e-3);
         record(SpanKind::Converge, 7001, 2e-3);
         let events = drain();
@@ -218,6 +224,7 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         // Overfill from this thread only; other tests' events on other
         // threads are unaffected.
+        let _turn = DRAINING.lock().unwrap_or_else(|e| e.into_inner());
         let before = dropped();
         for i in 0..(PER_THREAD_CAP as u64 + 10) {
             record(SpanKind::WalAppend, 8000 + i, 0.0);

@@ -343,8 +343,8 @@ impl CrowdServe {
     /// state replaying the logged answer/converge schedule produces, so
     /// continuing the stream yields the same plurality and posterior
     /// outputs the uninterrupted run would have (property-tested in
-    /// `tests/durability.rs`). [`CrowdServe::posteriors`] returns `None`
-    /// for a session whose snapshot covered its entire converge history
+    /// `tests/durability.rs`). A session whose snapshot covered its
+    /// entire converge history publishes no report (so no posteriors)
     /// until the next drain tick converges it again.
     ///
     /// Unrecoverable WALs (no valid header, or a replay-level failure)
@@ -759,12 +759,9 @@ impl CrowdServe {
     }
 
     /// The current published [`TruthSnapshot`] for `session` — one
-    /// coherent read replacing the deprecated
-    /// [`plurality`](Self::plurality) / [`posteriors`](Self::posteriors)
-    /// / [`last_report`](Self::last_report) /
-    /// [`session_stats`](Self::session_stats) quartet: every field comes
-    /// from the same publish epoch, so they can never disagree about
-    /// which tick they describe.
+    /// coherent read of plurality, posteriors, last report, and stats:
+    /// every field comes from the same publish epoch, so they can never
+    /// disagree about which tick they describe.
     ///
     /// This entry point does one brief cell lookup (a map lock, never a
     /// session slot lock) and then a wait-free pointer load; it never
@@ -782,60 +779,6 @@ impl CrowdServe {
         timer.stop();
         obs::truth_reads().inc();
         Ok(snap)
-    }
-
-    /// Live per-task plurality estimates for `session`, as of the last
-    /// drain tick that touched it.
-    #[deprecated(
-        note = "read TruthSnapshot::plurality via CrowdServe::truth or CrowdServe::reader — \
-                one snapshot carries plurality, posteriors, report, and stats from the same epoch"
-    )]
-    pub fn plurality(&self, session: SessionId) -> Result<Vec<Option<u8>>, ServeError> {
-        let snap = self.truth(session)?;
-        if snap.state.is_stale() {
-            return Err(ServeError::SessionPoisoned(session));
-        }
-        Ok(snap.plurality.clone())
-    }
-
-    /// The latest drained per-task posteriors for `session` (`None`
-    /// before the first converge).
-    #[deprecated(
-        note = "read TruthSnapshot::posteriors via CrowdServe::truth or CrowdServe::reader — \
-                one snapshot carries plurality, posteriors, report, and stats from the same epoch"
-    )]
-    #[allow(clippy::type_complexity)]
-    pub fn posteriors(&self, session: SessionId) -> Result<Option<Vec<Vec<f64>>>, ServeError> {
-        let snap = self.truth(session)?;
-        if snap.state.is_stale() {
-            return Err(ServeError::SessionPoisoned(session));
-        }
-        Ok(snap.posteriors().map(<[Vec<f64>]>::to_vec))
-    }
-
-    /// The latest drain-tick report for `session` (`None` before the
-    /// first converge). `result.converged` distinguishes a reached fixed
-    /// point from a budget-sliced snapshot still resuming across ticks.
-    #[deprecated(
-        note = "read TruthSnapshot::report via CrowdServe::truth or CrowdServe::reader — \
-                one snapshot carries plurality, posteriors, report, and stats from the same epoch"
-    )]
-    pub fn last_report(&self, session: SessionId) -> Result<Option<StreamReport>, ServeError> {
-        let snap = self.truth(session)?;
-        if snap.state.is_stale() {
-            return Err(ServeError::SessionPoisoned(session));
-        }
-        Ok(snap.report.clone())
-    }
-
-    /// Per-session counters. Works on poisoned sessions too (that is the
-    /// point of observability).
-    #[deprecated(
-        note = "read TruthSnapshot::stats via CrowdServe::truth or CrowdServe::reader — \
-                one snapshot carries plurality, posteriors, report, and stats from the same epoch"
-    )]
-    pub fn session_stats(&self, session: SessionId) -> Result<SessionStats, ServeError> {
-        Ok(self.truth(session)?.stats.clone())
     }
 
     /// Service-wide counters, served wait-free from the published
@@ -968,15 +911,16 @@ impl CrowdServe {
         })
     }
 
-    /// Compact every session's delta views now (drain ticks do this
-    /// lazily per converge) — a maintenance hook for idle periods.
+    /// Bring every session's view up to date with its answer log now
+    /// (drain ticks do this lazily per converge) — a maintenance hook for
+    /// idle periods.
     pub fn compact_all(&self) {
         for shard in &self.shards {
             let slots: Vec<_> = lock(&shard.sessions).values().cloned().collect();
             for slot in slots {
                 let mut slot = lock(&slot);
                 if slot.poisoned.is_none() {
-                    slot.engine.compact();
+                    slot.engine.sync_shards();
                 }
             }
         }
@@ -1467,8 +1411,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_preserve_their_contracts() {
+    fn poisoned_session_snapshot_goes_stale_but_keeps_its_stats() {
         let serve = CrowdServe::new(ServeConfig {
             shards: 1,
             ..ServeConfig::default()
@@ -1477,49 +1420,21 @@ mod tests {
         let sid = serve.create_session(decision_session(2, 2)).unwrap();
         serve.submit(sid, vec![rec(0, 0, 1), rec(1, 1, 0)]).unwrap();
         serve.drain_tick();
+        assert!(serve.truth(sid).unwrap().state.is_live());
 
-        // Healthy: every wrapper serves the same truths as the snapshot.
-        let snap = serve.truth(sid).unwrap();
-        assert_eq!(serve.plurality(sid).unwrap(), snap.plurality);
-        assert_eq!(serve.posteriors(sid).unwrap().as_deref(), snap.posteriors());
-        assert_eq!(
-            serve.last_report(sid).unwrap().map(|r| r.answers_seen),
-            snap.report.as_ref().map(|r| r.answers_seen)
-        );
-        assert_eq!(serve.session_stats(sid).unwrap(), snap.stats);
-
-        // Unknown session: typed, as before.
-        let ghost = SessionId::from_raw(999);
-        assert!(matches!(
-            serve.plurality(ghost),
-            Err(ServeError::UnknownSession(_))
-        ));
-        assert!(matches!(
-            serve.session_stats(ghost),
-            Err(ServeError::UnknownSession(_))
-        ));
-
-        // Poisoned: the value getters keep failing typed; session_stats
-        // keeps working (that is the point of observability).
         serve.debug_panic_next_converge(sid).unwrap();
         serve.submit(sid, vec![rec(0, 1, 1)]).unwrap();
         let tick = serve.drain_tick();
         assert_eq!(tick.poisoned, vec![sid]);
-        assert!(matches!(
-            serve.plurality(sid),
-            Err(ServeError::SessionPoisoned(_))
-        ));
-        assert!(matches!(
-            serve.posteriors(sid),
-            Err(ServeError::SessionPoisoned(_))
-        ));
-        assert!(matches!(
-            serve.last_report(sid),
-            Err(ServeError::SessionPoisoned(_))
-        ));
-        let stats = serve.session_stats(sid).unwrap();
-        assert!(stats.poisoned);
-        // The batch was ingested before the converge panicked.
-        assert_eq!(stats.answers_seen, 3, "pre-panic counters still served");
+        // The published snapshot degrades to the typed stale state, and
+        // its counters are still served: the batch was ingested before
+        // the converge panicked.
+        let snap = serve.truth(sid).unwrap();
+        assert!(snap.state.is_stale(), "poisoned publish: {:?}", snap.state);
+        assert!(snap.stats.poisoned);
+        assert_eq!(
+            snap.stats.answers_seen, 3,
+            "pre-panic counters still served"
+        );
     }
 }

@@ -106,8 +106,9 @@ pub struct TruthSnapshot {
     pub state: SnapshotState,
     /// Answer batches the engine has absorbed.
     pub cum_batches: u64,
-    /// Live per-task plurality labels (`O(|V|)` off the delta views at
-    /// publish time — includes ingested-but-unconverged answers).
+    /// Live per-task plurality labels (`O(n·ℓ)` off the engine's label
+    /// counts at publish time — includes ingested-but-unconverged
+    /// answers).
     pub plurality: Vec<Option<u8>>,
     /// The most recent converge output (`None` before the first
     /// converge). `result.converged` distinguishes a fixed point from a

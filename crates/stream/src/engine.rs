@@ -6,7 +6,6 @@ use crowd_core::views::ShardedView;
 use crowd_core::{InferenceOptions, InferenceResult, Method, WarmStart, WorkerQuality};
 use crowd_data::{Answer, AnswerRecord, TaskType};
 
-use crate::delta::DeltaCat;
 use crate::StreamError;
 
 use std::sync::OnceLock;
@@ -66,13 +65,11 @@ pub struct StreamConfig {
     /// the engine and overwritten; `golden` is not supported and
     /// ignored).
     pub options: InferenceOptions,
-    /// Task-range shards the session converges over. `1` (the default)
-    /// keeps the legacy flat-view path; above that the engine maintains a
-    /// [`ShardedView`] and routes converges through the per-shard EM
-    /// entry points (`Ds::infer_sharded` &c.; `Mv` through the flatten
-    /// shim), rebuilding only the shards whose task ranges received
-    /// answers since the previous converge. Results are invariant in
-    /// this knob (see `tests` and `crowd_core::views::sharded`).
+    /// Task-range shards of the [`ShardedView`] every converge runs on
+    /// (`1`, the default, is one shard over all tasks). A converge
+    /// rebuilds only the shards whose task ranges received answers since
+    /// the previous one. Results are invariant in this knob (see `tests`
+    /// and `crowd_core::views::sharded`).
     pub shard_count: usize,
 }
 
@@ -127,8 +124,8 @@ impl Default for ConvergeBudget {
 /// The warm-resumable state of a [`StreamEngine`] at a quiescent point —
 /// everything recovery needs **besides** the answer log itself.
 ///
-/// The answer log (and everything derived from it: delta views, seen
-/// set) is deliberately *not* part of a checkpoint: it is cheap to
+/// The answer log (and everything derived from it: the view, counts,
+/// seen set) is deliberately *not* part of a checkpoint: it is cheap to
 /// rebuild by replaying pushes, and the write-ahead log in `crowd-serve`
 /// already stores it durably. A checkpoint captures only the state that
 /// is *expensive* to recompute — the converged warm posteriors and
@@ -167,8 +164,6 @@ pub struct EngineSummary {
     pub pending_answers: usize,
     /// Converges run so far.
     pub converges: usize,
-    /// Delta compactions run so far.
-    pub compactions: usize,
     /// Whether the next drain tick would re-converge this engine.
     pub needs_converge: bool,
 }
@@ -183,8 +178,6 @@ pub struct StreamReport {
     pub warm: bool,
     /// Answers incorporated in this converge.
     pub answers_seen: usize,
-    /// Whether this converge triggered a delta compaction.
-    pub compacted: bool,
 }
 
 /// Duplicate guard over `(task, worker)` pairs: a bitmap for universes
@@ -225,26 +218,12 @@ impl SeenSet {
             Self::Sparse(set) => set.insert(key),
         }
     }
-
-    /// Un-record the pair (rollback when a later step of an insert
-    /// rejects the answer).
-    fn remove(&mut self, key: u64) {
-        match self {
-            Self::Dense(words) => {
-                let (slot, mask) = ((key / 64) as usize, 1u64 << (key % 64));
-                words[slot] &= !mask;
-            }
-            Self::Sparse(set) => {
-                set.remove(&key);
-            }
-        }
-    }
 }
 
-/// The incrementally maintained sharded view (`shard_count > 1` only):
-/// `records[..synced]` of the engine's answer log are reflected in
-/// `view`; a sync rebuilds exactly the shards whose task ranges appear
-/// in the unsynced suffix (the warm-resume dirty-shard rule).
+/// The incrementally maintained view: `records[..synced]` of the
+/// engine's answer log are reflected in `view`; a sync rebuilds exactly
+/// the shards whose task ranges appear in the unsynced suffix (the
+/// warm-resume dirty-shard rule).
 #[derive(Debug)]
 struct ShardedState {
     view: ShardedView,
@@ -254,23 +233,31 @@ struct ShardedState {
 /// Incremental truth inference over a live answer stream.
 ///
 /// Feed answers with [`push`](Self::push)/[`push_batch`](Self::push_batch)
-/// (validated, `O(1)` amortised, served by the delta views between
-/// converges via [`current_estimates`](Self::current_estimates)), then
-/// call [`converge`](Self::converge) per batch: the engine compacts the
-/// delta into the flat CSR view and re-converges the method **from the
-/// previous converged state** (posteriors + worker quality), which takes
-/// a small fraction of the cold iteration count once the stream has
-/// warmed up (see `BENCH_stream.json`).
+/// (validated, `O(1)`: appended to the answer log, with per-task label
+/// counts that serve [`current_estimates`](Self::current_estimates)
+/// between converges), then call [`converge`](Self::converge) per batch:
+/// the engine rebuilds the view's dirty shards from the log and
+/// re-converges the method **from the previous converged state**
+/// (posteriors + worker quality), which takes a small fraction of the
+/// cold iteration count once the stream has warmed up (see
+/// `BENCH_stream.json`).
 #[derive(Debug)]
 pub struct StreamEngine {
     config: StreamConfig,
-    view: DeltaCat,
+    /// Number of choices ℓ.
+    l: usize,
+    /// Every accepted answer `(task, worker, label)`, in arrival order.
+    records: Vec<(u32, u32, u8)>,
+    /// Per-task label counts (`n × ℓ`, row-major) for the live plurality.
+    label_counts: Vec<u32>,
+    /// Answers per worker, for warm-state shrinkage.
+    worker_counts: Vec<u32>,
+    /// Built lazily by the first [`sync_shards`](Self::sync_shards).
     sharded: Option<ShardedState>,
     /// Duplicate guard keyed by `task * m + worker`.
     seen: SeenSet,
     warm: Option<WarmStart>,
     converges: usize,
-    compactions: usize,
     /// Answers accepted since the last warm converge — the drain hook a
     /// shard uses to skip clean sessions.
     pending_answers: usize,
@@ -297,14 +284,16 @@ impl StreamEngine {
                 method: config.method.name(),
             });
         }
-        let (n, m) = (config.num_tasks, config.num_workers);
+        let (n, m, l) = (config.num_tasks, config.num_workers, choices as usize);
         Ok(Self {
-            view: DeltaCat::new(n, m, choices as usize),
+            l,
+            records: Vec::new(),
+            label_counts: vec![0; n * l],
+            worker_counts: vec![0; m],
             sharded: None,
             seen: SeenSet::new(n, m),
             warm: None,
             converges: 0,
-            compactions: 0,
             pending_answers: 0,
             last_converged: true,
             config,
@@ -318,17 +307,12 @@ impl StreamEngine {
 
     /// Answers accepted so far.
     pub fn answers_seen(&self) -> usize {
-        self.view.num_answers()
+        self.records.len()
     }
 
     /// Converges run so far.
     pub fn converges(&self) -> usize {
         self.converges
-    }
-
-    /// Delta compactions run so far.
-    pub fn compactions(&self) -> usize {
-        self.compactions
     }
 
     /// Answers accepted since the last warm converge.
@@ -346,13 +330,12 @@ impl StreamEngine {
 
     /// All scalar counters in one read — the cheap extraction hook for
     /// snapshot publication (`crowd-serve`'s truth snapshots): `O(1)`,
-    /// no CSR or delta state is cloned or compacted.
+    /// no view state is cloned or rebuilt.
     pub fn summary(&self) -> EngineSummary {
         EngineSummary {
             answers_seen: self.answers_seen(),
             pending_answers: self.pending_answers,
             converges: self.converges,
-            compactions: self.compactions,
             needs_converge: self.needs_converge(),
         }
     }
@@ -379,32 +362,22 @@ impl StreamEngine {
                 num_workers: self.config.num_workers,
             });
         }
-        if label as usize >= self.view.num_choices() {
+        if label as usize >= self.l {
             return Err(StreamError::LabelOutOfRange {
                 label,
-                num_choices: self.view.num_choices(),
+                num_choices: self.l,
             });
         }
         // Every validation has passed, so marking the pair seen and
-        // pushing cannot leave the two structures out of step.
+        // recording the answer cannot leave the structures out of step.
         let key = task as u64 * self.config.num_workers as u64 + worker as u64;
         if !self.seen.insert(key) {
             return Err(StreamError::DuplicateAnswer { task, worker });
         }
-        if let Err(e) = self.view.push(task, worker, label) {
-            // Unreachable after the validations above (the view checks the
-            // same bounds), but if it ever fires the seen-bit must roll
-            // back — a rejected answer leaves NO trace, which is what the
-            // push_batch partial-apply contract promises.
-            self.seen.remove(key);
-            return Err(e);
-        }
+        self.records.push((task as u32, worker as u32, label));
+        self.label_counts[task * self.l + label as usize] += 1;
+        self.worker_counts[worker] += 1;
         self.pending_answers += 1;
-        // Keep the amortised maintenance cost constant; converge()
-        // compacts the rest.
-        if self.view.maybe_compact() {
-            self.compactions += 1;
-        }
         Ok(())
     }
 
@@ -447,12 +420,21 @@ impl StreamEngine {
     }
 
     /// Live per-task plurality estimates over everything pushed so far —
-    /// `O(|V|)`, no EM, served straight from the delta views without
-    /// compacting. The cheap read between converges.
+    /// `O(n·ℓ)`, no EM, served from the per-task label counts without
+    /// touching the view. The cheap read between converges. `None` for
+    /// unanswered tasks; exact ties go to the smallest label.
     pub fn current_estimates(&self) -> Vec<Option<u8>> {
-        let mut scratch = Vec::new();
-        (0..self.config.num_tasks)
-            .map(|t| self.view.plurality(t, &mut scratch))
+        self.label_counts
+            .chunks_exact(self.l)
+            .map(|counts| {
+                let mut best = 0usize;
+                for (k, &c) in counts.iter().enumerate() {
+                    if c > counts[best] {
+                        best = k;
+                    }
+                }
+                (counts[best] > 0).then_some(best as u8)
+            })
             .collect()
     }
 
@@ -526,10 +508,9 @@ impl StreamEngine {
     /// default entirely.
     fn shrink_worker_state(&self, warm: &mut WarmStart) {
         const DEFAULT_ACC: f64 = 0.7;
-        let l = self.view.num_choices();
-        let off_default = (1.0 - DEFAULT_ACC) / (l - 1).max(1) as f64;
+        let off_default = (1.0 - DEFAULT_ACC) / (self.l - 1).max(1) as f64;
         for (w, quality) in warm.worker_quality.iter_mut().enumerate() {
-            let count = self.view.worker_answer_count(w) as f64;
+            let count = self.worker_counts[w] as f64;
             if count == 0.0 {
                 *quality = WorkerQuality::Unmodeled;
                 continue;
@@ -568,7 +549,7 @@ impl StreamEngine {
     /// [`EngineCheckpoint`] for what is and is not captured).
     pub fn checkpoint(&self) -> EngineCheckpoint {
         EngineCheckpoint {
-            answers_seen: self.view.num_answers(),
+            answers_seen: self.records.len(),
             warm: self.warm.clone(),
             converges: self.converges,
             pending_answers: self.pending_answers,
@@ -587,10 +568,10 @@ impl StreamEngine {
     /// session rather than resume it. The engine is left unchanged on
     /// error.
     pub fn restore_checkpoint(&mut self, cp: EngineCheckpoint) -> Result<(), StreamError> {
-        if cp.answers_seen != self.view.num_answers() {
+        if cp.answers_seen != self.records.len() {
             return Err(StreamError::CheckpointMismatch {
                 checkpoint_answers: cp.answers_seen,
-                engine_answers: self.view.num_answers(),
+                engine_answers: self.records.len(),
             });
         }
         self.warm = cp.warm;
@@ -600,34 +581,21 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Compact the delta views now (converge does this lazily) — exposed
-    /// so benchmarks can separate view maintenance from re-convergence
-    /// cost.
-    pub fn compact(&mut self) {
-        if !self.view.is_compacted() {
-            self.view.compact();
-            self.compactions += 1;
-        }
-    }
-
-    /// Bring the sharded view up to date with the answer log now
-    /// (converge does this lazily). Returns the number of shard rebuilds
-    /// performed: `0` for an unsharded session or a clean view, the full
-    /// shard count on the first build, and exactly the number of
-    /// **dirty** shards — ranges that received answers since the last
-    /// sync — on a warm resume. Exposed so benchmarks and tests can
-    /// separate shard maintenance from re-convergence cost.
+    /// Bring the view up to date with the answer log now (converge does
+    /// this lazily). Returns the number of shard rebuilds performed: `0`
+    /// for a clean view, the full shard count on the first build, and
+    /// exactly the number of **dirty** shards — ranges that received
+    /// answers since the last sync — on a warm resume (with one shard,
+    /// that is one rebuild per converge). Exposed so benchmarks and tests
+    /// can separate view maintenance from re-convergence cost.
     pub fn sync_shards(&mut self) -> usize {
-        if self.config.shard_count <= 1 {
-            return 0;
-        }
-        let records = self.view.records();
+        let records = &self.records;
         match &mut self.sharded {
             None => {
                 let view = ShardedView::from_records(
                     self.config.num_tasks,
                     self.config.num_workers,
-                    self.view.num_choices(),
+                    self.l,
                     self.config.shard_count,
                     records.iter().copied(),
                     vec![None; self.config.num_tasks],
@@ -643,8 +611,15 @@ impl StreamEngine {
                 if state.synced == records.len() {
                     return 0;
                 }
+                let unsynced = std::mem::replace(&mut state.synced, records.len());
+                if state.view.num_shards() == 1 {
+                    // The one shard is the dirty one, and the log is
+                    // exactly its record set: no bucketing pass.
+                    state.view.rebuild_shard(0, records);
+                    return 1;
+                }
                 let mut dirty = vec![false; state.view.num_shards()];
-                for &(task, _, _) in &records[state.synced..] {
+                for &(task, _, _) in &records[unsynced..] {
                     dirty[state.view.shard_for_task(task as usize)] = true;
                 }
                 // A rebuild replaces a shard wholesale, so each dirty
@@ -667,7 +642,6 @@ impl StreamEngine {
                         rebuilt += 1;
                     }
                 }
-                state.synced = records.len();
                 rebuilt
             }
         }
@@ -678,46 +652,27 @@ impl StreamEngine {
         warm: Option<WarmStart>,
         max_iterations: usize,
     ) -> Result<StreamReport, StreamError> {
-        if self.view.num_answers() == 0 {
+        if self.records.is_empty() {
             return Err(StreamError::EmptyStream);
         }
-        let compacted = !self.view.is_compacted();
-        if compacted {
-            self.view.compact();
-            self.compactions += 1;
-        }
         self.sync_shards();
+        let view = &self.sharded.as_ref().expect("synced above").view;
         let was_warm = warm.is_some();
         let mut options = self.config.options.clone();
         options.golden = None;
         options.warm_start = warm;
         options.max_iterations = max_iterations;
-        let result = if let Some(state) = &self.sharded {
-            // The sharded EM paths; Mv has no native one and goes through
-            // the flatten compatibility shim.
-            match self.config.method {
-                Method::Ds => Ds.infer_sharded(&state.view, &options)?,
-                Method::Lfc => Lfc::default().infer_sharded(&state.view, &options)?,
-                Method::Zc => Zc::default().infer_sharded(&state.view, &options)?,
-                Method::Glad => Glad::default().infer_sharded(&state.view, &options)?,
-                Method::Mv => Mv.infer_view(&state.view.flatten(), &options)?,
-                _ => unreachable!("rejected in StreamEngine::new"),
-            }
-        } else {
-            let cat = self.view.as_cat();
-            match self.config.method {
-                Method::Ds => Ds.infer_view(cat, &options)?,
-                Method::Lfc => Lfc::default().infer_view(cat, &options)?,
-                Method::Zc => Zc::default().infer_view(cat, &options)?,
-                Method::Glad => Glad::default().infer_view(cat, &options)?,
-                Method::Mv => Mv.infer_view(cat, &options)?,
-                _ => unreachable!("rejected in StreamEngine::new"),
-            }
+        let result = match self.config.method {
+            Method::Ds => Ds.infer_view(view, &options)?,
+            Method::Lfc => Lfc::default().infer_view(view, &options)?,
+            Method::Zc => Zc::default().infer_view(view, &options)?,
+            Method::Glad => Glad::default().infer_view(view, &options)?,
+            Method::Mv => Mv.infer_view(view, &options)?,
+            _ => unreachable!("rejected in StreamEngine::new"),
         };
         Ok(StreamReport {
-            answers_seen: self.view.num_answers(),
+            answers_seen: self.records.len(),
             warm: was_warm,
-            compacted,
             result,
         })
     }
@@ -1108,10 +1063,22 @@ mod tests {
         }
     }
 
-    /// The dataset's records grouped by task — the arrival shape under
-    /// which the sharded converge is bit-identical to the legacy flat
-    /// path (see `crowd_core::views::sharded` for why task-grouped
-    /// arrival is the flat-equality condition).
+    #[test]
+    fn plurality_counts_delta_and_breaks_ties_low() {
+        // Answers pushed after a converge count at once, and an exact tie
+        // goes to the smallest label.
+        let cfg = StreamConfig::new(Method::Mv, TaskType::SingleChoice { choices: 3 }, 2, 3);
+        let mut e = StreamEngine::new(cfg).unwrap();
+        assert_eq!(e.current_estimates(), vec![None, None]);
+        e.push(0, 0, Answer::Label(2)).unwrap();
+        e.converge().unwrap();
+        e.push(0, 1, Answer::Label(1)).unwrap();
+        assert_eq!(e.current_estimates()[0], Some(1), "tie goes low");
+        e.push(0, 2, Answer::Label(2)).unwrap();
+        assert_eq!(e.current_estimates(), vec![Some(2), None]);
+    }
+
+    /// The dataset's records grouped by task.
     fn task_grouped_records(d: &crowd_data::Dataset) -> Vec<AnswerRecord> {
         let mut records = d.records().to_vec();
         records.sort_by_key(|r| r.task);
@@ -1119,55 +1086,56 @@ mod tests {
     }
 
     #[test]
-    fn sharded_streaming_matches_legacy_on_task_grouped_streams() {
-        for method in [Method::Ds, Method::Zc, Method::Glad, Method::Mv] {
-            let d = PaperDataset::DProduct.generate(0.06, 31);
-            let cfg = decision_config(method, d.num_tasks(), d.num_workers());
-            let mut legacy = StreamEngine::new(cfg.clone()).unwrap();
-            let mut sharded = StreamEngine::new(cfg.with_shards(5)).unwrap();
-            let records = task_grouped_records(&d);
-            for chunk in records.chunks(records.len().div_ceil(3)) {
-                legacy.push_batch(chunk).unwrap();
-                sharded.push_batch(chunk).unwrap();
-                let a = legacy.converge().unwrap();
-                let b = sharded.converge().unwrap();
-                assert_eq!(a.result.truths, b.result.truths, "{method:?}");
-                assert_eq!(
-                    posterior_bits(&a.result.posteriors),
-                    posterior_bits(&b.result.posteriors),
-                    "{method:?}"
-                );
-                assert_eq!(a.result.iterations, b.result.iterations, "{method:?}");
-            }
-        }
-    }
-
-    #[test]
     fn sharded_converges_agree_across_shard_counts_on_any_arrival_order() {
-        // Arbitrary (non-task-grouped) arrival: the shard-count-
-        // invariance guarantee is unconditional even where flat equality
-        // is not, because every sharded run folds worker answers in the
-        // same canonical task-ascending order.
-        let d = PaperDataset::DProduct.generate(0.06, 43);
-        let cfg = decision_config(Method::Ds, d.num_tasks(), d.num_workers());
-        let mut engines: Vec<StreamEngine> = [2usize, 7, 16]
-            .iter()
-            .map(|&s| StreamEngine::new(cfg.clone().with_shards(s)).unwrap())
-            .collect();
-        let records = d.records();
-        for chunk in records.chunks(records.len().div_ceil(4)) {
-            let mut reports = Vec::new();
-            for e in &mut engines {
-                e.push_batch(chunk).unwrap();
-                reports.push(e.converge().unwrap());
-            }
-            for r in &reports[1..] {
-                assert_eq!(reports[0].result.truths, r.result.truths);
-                assert_eq!(
-                    posterior_bits(&reports[0].result.posteriors),
-                    posterior_bits(&r.result.posteriors)
-                );
-                assert_eq!(reports[0].result.iterations, r.result.iterations);
+        // A simulated collection run (the shape of serve traffic): its
+        // arrival order interleaves answers across the whole task
+        // universe. Every method's converges must agree bit for bit at
+        // every shard count, because every view folds worker answers in
+        // the same canonical task-ascending order.
+        let config = PaperDataset::DProduct.config(0.06);
+        let run = crowd_data::collect(
+            &config,
+            crowd_data::AssignmentStrategy::Uniform,
+            config.num_tasks * 4,
+            43,
+        )
+        .unwrap();
+        let d = &run.dataset;
+        assert!(
+            d.records().windows(2).any(|w| w[0].task > w[1].task),
+            "the fixture stream must not arrive grouped by task"
+        );
+        for method in [
+            Method::Ds,
+            Method::Lfc,
+            Method::Zc,
+            Method::Glad,
+            Method::Mv,
+        ] {
+            let cfg = decision_config(method, d.num_tasks(), d.num_workers());
+            let mut engines: Vec<StreamEngine> = [1usize, 2, 7, 16]
+                .iter()
+                .map(|&s| StreamEngine::new(cfg.clone().with_shards(s)).unwrap())
+                .collect();
+            let records = d.records();
+            for chunk in records.chunks(records.len().div_ceil(4)) {
+                let mut reports = Vec::new();
+                for e in &mut engines {
+                    e.push_batch(chunk).unwrap();
+                    reports.push(e.converge().unwrap());
+                }
+                for r in &reports[1..] {
+                    assert_eq!(reports[0].result.truths, r.result.truths, "{method:?}");
+                    assert_eq!(
+                        posterior_bits(&reports[0].result.posteriors),
+                        posterior_bits(&r.result.posteriors),
+                        "{method:?}"
+                    );
+                    assert_eq!(
+                        reports[0].result.iterations, r.result.iterations,
+                        "{method:?}"
+                    );
+                }
             }
         }
     }

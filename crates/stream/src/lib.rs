@@ -5,11 +5,13 @@
 //! *arrive over time*. This crate is that answer, built on the
 //! flat-memory substrate:
 //!
-//! - **Delta-buffered CSR views** ([`DeltaCat`]/[`DeltaNum`]): `O(1)`
-//!   amortised appends into per-row delta buffers on top of the compacted
-//!   base CSR, with periodic compaction that is bit-identical to a full
-//!   `from_triples` rebuild (property-tested over arbitrary interleavings
-//!   of appends and compactions).
+//! - **One view, rebuilt by dirty shard**: a session keeps its answer
+//!   log (`O(1)` per answer) plus per-task label counts for live
+//!   plurality reads; each converge rebuilds only the task-range shards
+//!   of its [`crowd_core::views::ShardedView`] that received answers
+//!   since the previous one (the whole view at the default single
+//!   shard) — the same view batch inference builds, so a stream and a
+//!   batch run over the same answers agree bit for bit.
 //! - **Warm-start re-convergence** ([`StreamEngine`]): each batch
 //!   re-converges the method from the previous converged posteriors and
 //!   worker-quality parameters (`crowd_core::WarmStart`) instead of from
@@ -48,10 +50,8 @@
 
 #![warn(missing_docs)]
 
-pub mod delta;
 pub mod engine;
 
-pub use delta::{DeltaCat, DeltaNum};
 pub use engine::{
     ConvergeBudget, EngineCheckpoint, EngineSummary, StreamConfig, StreamEngine, StreamReport,
 };
@@ -83,11 +83,6 @@ pub enum StreamError {
         label: u8,
         /// Number of choices ℓ.
         num_choices: usize,
-    },
-    /// A numeric answer was not finite.
-    NonFiniteValue {
-        /// The offending value.
-        value: f64,
     },
     /// The same worker answered the same task twice.
     DuplicateAnswer {
@@ -144,7 +139,6 @@ impl fmt::Display for StreamError {
             Self::LabelOutOfRange { label, num_choices } => {
                 write!(f, "label {label} out of range (ℓ = {num_choices})")
             }
-            Self::NonFiniteValue { value } => write!(f, "non-finite numeric answer {value}"),
             Self::DuplicateAnswer { task, worker } => {
                 write!(f, "worker {worker} already answered task {task}")
             }
