@@ -45,45 +45,12 @@ impl DatasetBuilder {
             });
         }
         if worker >= self.num_workers {
-            // Reuse the task error shape for workers to keep the enum small;
-            // callers mostly care that construction failed loudly.
-            return Err(DataError::TaskOutOfRange {
-                task: worker,
-                num_tasks: self.num_workers,
+            return Err(DataError::WorkerOutOfRange {
+                worker,
+                num_workers: self.num_workers,
             });
         }
         Ok(())
-    }
-
-    fn check_answer(&self, answer: &Answer) -> Result<(), DataError> {
-        match (self.task_type, answer) {
-            (TaskType::Numeric, Answer::Numeric(v)) => {
-                if v.is_finite() {
-                    Ok(())
-                } else {
-                    Err(DataError::AnswerKindMismatch {
-                        detail: format!("non-finite numeric answer {v}"),
-                    })
-                }
-            }
-            (TaskType::Numeric, Answer::Label(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "label answer on a numeric dataset".into(),
-            }),
-            (t, Answer::Label(l)) => {
-                let choices = t.num_choices().expect("categorical task type");
-                if *l < choices {
-                    Ok(())
-                } else {
-                    Err(DataError::LabelOutOfRange {
-                        label: *l,
-                        num_choices: choices,
-                    })
-                }
-            }
-            (_, Answer::Numeric(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "numeric answer on a categorical dataset".into(),
-            }),
-        }
     }
 
     /// Record `worker`'s answer for `task`.
@@ -94,7 +61,7 @@ impl DatasetBuilder {
         answer: Answer,
     ) -> Result<(), DataError> {
         self.check_indices(task, worker)?;
-        self.check_answer(&answer)?;
+        self.task_type.check_answer(&answer)?;
         if !self.seen.insert((task, worker)) {
             return Err(DataError::DuplicateAnswer { task, worker });
         }
@@ -124,7 +91,7 @@ impl DatasetBuilder {
                 num_tasks: self.num_tasks,
             });
         }
-        self.check_answer(&truth)?;
+        self.task_type.check_answer(&truth)?;
         self.truths[task] = Some(truth);
         Ok(())
     }
@@ -185,8 +152,25 @@ mod tests {
     #[test]
     fn rejects_out_of_range_task_and_worker() {
         let mut b = DatasetBuilder::new("d", TaskType::DecisionMaking, 2, 2);
-        assert!(b.add_label(2, 0, 0).is_err());
-        assert!(b.add_label(0, 5, 0).is_err());
+        assert!(matches!(
+            b.add_label(2, 0, 0),
+            Err(DataError::TaskOutOfRange {
+                task: 2,
+                num_tasks: 2
+            })
+        ));
+        let err = b.add_label(0, 5, 0).unwrap_err();
+        assert!(matches!(
+            err,
+            DataError::WorkerOutOfRange {
+                worker: 5,
+                num_workers: 2
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "worker index 5 out of range (dataset has 2 workers)"
+        );
     }
 
     #[test]

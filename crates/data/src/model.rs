@@ -2,7 +2,7 @@
 //!
 //! Notation follows Table 3 of the paper: a dataset holds the answer set
 //! `V = {v_i^w}`, and exposes `W_i` (workers that answered task `t_i`) and
-//! `T^w` (tasks answered by worker `w`) as precomputed adjacency lists so
+//! `T^w` (tasks answered by worker `w`) as precomputed CSR adjacency so
 //! every method's two-step iteration is a linear scan.
 
 use crate::error::DataError;
@@ -36,6 +36,31 @@ impl TaskType {
     /// Whether answers are categorical labels.
     pub fn is_categorical(&self) -> bool {
         !matches!(self, Self::Numeric)
+    }
+
+    /// Validate an answer or truth against this task type: labels must
+    /// lie in `0..ℓ` on categorical types, numerics must be finite on
+    /// numeric ones, and the kind must match. The one answer check —
+    /// [`crate::DatasetBuilder`], [`Dataset::check_answer`] and
+    /// [`crate::io::read_tsv`] all call it.
+    pub fn check_answer(&self, answer: &Answer) -> Result<(), DataError> {
+        match (self.num_choices(), answer) {
+            (None, Answer::Numeric(v)) if v.is_finite() => Ok(()),
+            (None, Answer::Numeric(v)) => Err(DataError::AnswerKindMismatch {
+                detail: format!("non-finite numeric answer {v}"),
+            }),
+            (None, Answer::Label(_)) => Err(DataError::AnswerKindMismatch {
+                detail: "label answer on a numeric dataset".into(),
+            }),
+            (Some(choices), Answer::Label(l)) if *l < choices => Ok(()),
+            (Some(choices), Answer::Label(l)) => Err(DataError::LabelOutOfRange {
+                label: *l,
+                num_choices: choices,
+            }),
+            (Some(_), Answer::Numeric(_)) => Err(DataError::AnswerKindMismatch {
+                detail: "numeric answer on a categorical dataset".into(),
+            }),
+        }
     }
 }
 
@@ -97,9 +122,9 @@ pub struct Dataset {
     num_workers: usize,
     records: Vec<AnswerRecord>,
     /// Indices into `records`, grouped by task (the paper's `W_i`).
-    by_task: Vec<Vec<u32>>,
+    by_task: Grouped,
     /// Indices into `records`, grouped by worker (the paper's `T^w`).
-    by_worker: Vec<Vec<u32>>,
+    by_worker: Grouped,
     /// Ground truth per task; `None` where unknown (S_Rel and S_Adult
     /// publish truth only for a subset of tasks).
     truths: Vec<Option<Answer>>,
@@ -121,13 +146,9 @@ impl Dataset {
         records: Vec<AnswerRecord>,
         truths: Vec<Option<Answer>>,
     ) -> Self {
-        let mut by_task: Vec<Vec<u32>> = vec![Vec::new(); num_tasks];
-        let mut by_worker: Vec<Vec<u32>> = vec![Vec::new(); num_workers];
-        for (idx, r) in records.iter().enumerate() {
-            by_task[r.task].push(idx as u32);
-            by_worker[r.worker].push(idx as u32);
-        }
-        let max_task_degree = by_task.iter().map(|t| t.len()).max().unwrap_or(0);
+        let by_task = Grouped::new(&records, num_tasks, |r| r.task);
+        let by_worker = Grouped::new(&records, num_workers, |r| r.worker);
+        let max_task_degree = (0..num_tasks).map(|t| by_task.len(t)).max().unwrap_or(0);
         let redundancy = if num_tasks == 0 {
             0.0
         } else {
@@ -190,26 +211,28 @@ impl Dataset {
 
     /// Answers for task `i` (the paper's `{v_i^w : w ∈ W_i}`).
     pub fn answers_for_task(&self, task: usize) -> impl Iterator<Item = &AnswerRecord> + '_ {
-        self.by_task[task]
+        self.by_task
+            .get(task)
             .iter()
             .map(move |&idx| &self.records[idx as usize])
     }
 
     /// Answers by worker `w` (the paper's `{v_i^w : t_i ∈ T^w}`).
     pub fn answers_by_worker(&self, worker: usize) -> impl Iterator<Item = &AnswerRecord> + '_ {
-        self.by_worker[worker]
+        self.by_worker
+            .get(worker)
             .iter()
             .map(move |&idx| &self.records[idx as usize])
     }
 
     /// Number of workers that answered task `i` (`|W_i|`).
     pub fn task_degree(&self, task: usize) -> usize {
-        self.by_task[task].len()
+        self.by_task.len(task)
     }
 
     /// Number of tasks worker `w` answered (`|T^w|`).
     pub fn worker_degree(&self, worker: usize) -> usize {
-        self.by_worker[worker].len()
+        self.by_worker.len(worker)
     }
 
     /// The largest `|W_i|` over all tasks — the true upper bound of a
@@ -235,28 +258,33 @@ impl Dataset {
         self.truths.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Validate a candidate answer against the task type.
+    /// Validate a candidate answer against the task type
+    /// ([`TaskType::check_answer`]).
     pub fn check_answer(&self, answer: &Answer) -> Result<(), DataError> {
-        match (self.task_type, answer) {
-            (TaskType::Numeric, Answer::Numeric(_)) => Ok(()),
-            (TaskType::Numeric, Answer::Label(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "label answer on a numeric dataset".into(),
-            }),
-            (t, Answer::Label(l)) => {
-                let choices = t.num_choices().expect("categorical");
-                if *l < choices {
-                    Ok(())
+        self.task_type.check_answer(answer)
+    }
+
+    /// The first record, in log order, whose `(task, worker)` pair an
+    /// earlier record already holds — found without hashing, by one
+    /// pass over the task adjacency that stamps each worker with the
+    /// last task it was seen on.
+    pub(crate) fn first_duplicate(&self) -> Option<&AnswerRecord> {
+        let mut last_task = vec![usize::MAX; self.num_workers];
+        // `u32::MAX` (no record: `Grouped::new` keeps indices below it)
+        // until a duplicate is found.
+        let mut first = u32::MAX;
+        for task in 0..self.num_tasks {
+            // Ascending within the task, so a repeat is the later record.
+            for &idx in self.by_task.get(task) {
+                let seen = &mut last_task[self.records[idx as usize].worker];
+                if *seen == task {
+                    first = first.min(idx);
                 } else {
-                    Err(DataError::LabelOutOfRange {
-                        label: *l,
-                        num_choices: choices,
-                    })
+                    *seen = task;
                 }
             }
-            (_, Answer::Numeric(_)) => Err(DataError::AnswerKindMismatch {
-                detail: "numeric answer on a categorical dataset".into(),
-            }),
         }
+        self.records.get(first as usize)
     }
 
     /// Produce a copy of this dataset that keeps only the given answer
@@ -283,6 +311,54 @@ impl Dataset {
         let mut copy = self.clone();
         copy.truths = truths;
         copy
+    }
+}
+
+/// Record indices grouped by a key (task or worker) in CSR form: the
+/// indices of key `k` are `indices[start[k]..start[k + 1]]`, ascending.
+#[derive(Debug, Clone)]
+struct Grouped {
+    start: Vec<usize>,
+    indices: Vec<u32>,
+}
+
+impl Grouped {
+    /// Group `records` by `key` (`< num_keys`) with one counting pass.
+    fn new(
+        records: &[AnswerRecord],
+        num_keys: usize,
+        key: impl Fn(&AnswerRecord) -> usize,
+    ) -> Self {
+        assert!(
+            records.len() < u32::MAX as usize,
+            "record indices are stored as u32"
+        );
+        let mut start = vec![0usize; num_keys + 1];
+        for r in records {
+            start[key(r)] += 1;
+        }
+        // Prefix sums give each group's end; filling back to front walks
+        // every end down to its group's start.
+        let mut end = 0;
+        for s in &mut start {
+            end += *s;
+            *s = end;
+        }
+        let mut indices = vec![0u32; records.len()];
+        for (idx, r) in records.iter().enumerate().rev() {
+            let slot = &mut start[key(r)];
+            *slot -= 1;
+            indices[*slot] = idx as u32;
+        }
+        Self { start, indices }
+    }
+
+    fn get(&self, key: usize) -> &[u32] {
+        &self.indices[self.start[key]..self.start[key + 1]]
+    }
+
+    fn len(&self, key: usize) -> usize {
+        self.start[key + 1] - self.start[key]
     }
 }
 
@@ -372,6 +448,69 @@ mod tests {
             d.check_answer(&Answer::Numeric(1.0)),
             Err(DataError::AnswerKindMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn one_answer_check_rejects_non_finite_numerics_everywhere() {
+        let mut b = DatasetBuilder::new("n", TaskType::Numeric, 1, 1);
+        b.add_numeric(0, 0, 2.5).unwrap();
+        let d = b.build();
+        assert!(d.check_answer(&Answer::Numeric(-1e300)).is_ok());
+        assert!(matches!(
+            d.check_answer(&Answer::Label(0)),
+            Err(DataError::AnswerKindMismatch { .. })
+        ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let answer = Answer::Numeric(bad);
+            assert!(matches!(
+                d.check_answer(&answer),
+                Err(DataError::AnswerKindMismatch { .. })
+            ));
+            assert!(TaskType::Numeric.check_answer(&answer).is_err());
+            let mut b = DatasetBuilder::new("n", TaskType::Numeric, 1, 1);
+            assert!(b.add_answer(0, 0, answer).is_err());
+            assert!(b.set_truth(0, answer).is_err());
+        }
+    }
+
+    #[test]
+    fn csr_adjacency_keeps_log_order_and_finds_first_duplicate_in_log_order() {
+        // Worker-major log: task 1 is answered before task 0.
+        let rec = |task, worker| AnswerRecord {
+            task,
+            worker,
+            answer: Answer::Label(0),
+        };
+        let records = vec![rec(1, 0), rec(0, 0), rec(2, 1), rec(0, 1), rec(1, 1)];
+        let d = Dataset::from_parts(
+            "csr".into(),
+            TaskType::DecisionMaking,
+            4,
+            3,
+            records.clone(),
+            vec![None; 4],
+        );
+        let workers = |t| d.answers_for_task(t).map(|r| r.worker).collect::<Vec<_>>();
+        let tasks = |w| d.answers_by_worker(w).map(|r| r.task).collect::<Vec<_>>();
+        assert_eq!(
+            (workers(0), workers(1), workers(2), workers(3)),
+            (vec![0, 1], vec![0, 1], vec![1], vec![])
+        );
+        assert_eq!(
+            (tasks(0), tasks(1), tasks(2)),
+            (vec![1, 0], vec![2, 0, 1], vec![])
+        );
+        assert_eq!(
+            (d.task_degree(3), d.worker_degree(2), d.max_task_degree()),
+            (0, 0, 2)
+        );
+        assert_eq!(d.first_duplicate(), None);
+        // Two duplicates: (2, 1) at index 6 and (0, 0) at index 7. Task
+        // order would meet (0, 0) first; log order reports (2, 1).
+        let mut dup = records;
+        dup.extend([rec(3, 2), rec(2, 1), rec(0, 0), rec(0, 0)]);
+        let d = d.with_records(dup);
+        assert_eq!(d.first_duplicate(), Some(&rec(2, 1)));
     }
 
     #[test]

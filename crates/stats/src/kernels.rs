@@ -303,7 +303,7 @@ pub(crate) fn log_normalize_scalar(xs: &mut [f64]) {
 /// posterior form of the E-step's final step.
 ///
 /// The per-row `log_sum_exp` temporaries are hoisted into stack blocks
-/// ([`fused::log_normalize_rows_blocked`]) so the matrix is swept in
+/// (`fused::log_normalize_rows_blocked`) so the matrix is swept in
 /// two linear passes (row statistics, then `exp(x − lse)`) instead of
 /// three passes per row — this is where the old per-row form paid ~2×
 /// the cost of its parts. ℓ = 4 matrices take the in-register row path

@@ -18,7 +18,7 @@
 //!   products, `sigmoid∘exp` chains) that fill from a closure and
 //!   transform in cache-resident blocks instead of write-everything /
 //!   transform-everything sweeps;
-//! - [`log_normalize_rows_blocked`] — the whole-matrix normalize with
+//! - `log_normalize_rows_blocked` — the whole-matrix normalize with
 //!   the per-row `log_sum_exp` temporaries hoisted into stack blocks.
 //!
 //! Every fused kernel is **bit-identical** to the multi-pass

@@ -614,7 +614,7 @@ const PACKED_LO: f64 = -697.0;
 /// The four rows are held **transposed** (column-major: register lane
 /// `i` = row `r+i`), so the per-row reductions become plain vertical
 /// ops — in particular the `ln` of the four row sums is a single
-/// [`ln4_core`] call, where the per-row kernels spend a scalar `ln`
+/// `ln4_core` call, where the per-row kernels spend a scalar `ln`
 /// each. This is what makes ℓ-wide posterior softmaxes cheap when a
 /// caller has many rows: one dispatch and one `#[target_feature]`
 /// region for the whole buffer instead of per row.
@@ -623,8 +623,8 @@ const PACKED_LO: f64 = -697.0;
 /// max fold (ties and NaN screened so `maxpd` agrees with `f64::max`),
 /// `exp(x − max)` with the max-lane `1.0` convention, left-to-right
 /// summation, `max + ln(Σ)`, then `exp(x − lse)` — bit-identical
-/// output. Rows failing the [`PACKED_LO`] screen and the `< 4`-row
-/// remainder run [`super::log_normalize_scalar`].
+/// output. Rows failing the `PACKED_LO` screen and the `< 4`-row
+/// remainder run `log_normalize_scalar`.
 ///
 /// # Safety
 /// Requires AVX2 (+FMA per the detection gate). `data.len()` must be a
@@ -711,7 +711,7 @@ pub unsafe fn log_normalize_rows_packed<const L: usize>(data: &mut [f64]) {
 /// rows: `out[i] ← lse(row i)`. Same transposed four-rows-per-iteration
 /// scheme and screens as [`log_normalize_rows_packed`], minus the final
 /// normalise pass; demoted and remainder rows run
-/// [`super::log_sum_exp_scalar`].
+/// `log_sum_exp_scalar`.
 ///
 /// # Safety
 /// Requires AVX2 (+FMA per the detection gate). `data.len()` must be a
